@@ -1,6 +1,7 @@
 //! Shared helpers for the per-table/per-figure reproduction binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper:
+//! Each binary in `src/bin/` but one regenerates one table or figure of
+//! the paper; `bench_soak` is the soak SLO gate:
 //!
 //! | binary | artifact |
 //! |--------|----------|
@@ -11,8 +12,12 @@
 //! | `figure1_latency_sweep`  | Figure 1 — latency quantiles vs thread count |
 //! | `figure2_throughput_pairs` | Figure 2 — pairs throughput + ratio vs KP |
 //! | `figure3_bursts`         | Figure 3 — burst throughput per side + ratios |
+//! | `bench_soak`             | `turnq-bench-soak/1` — per-variant SLO verdicts (docs/bench_format.md) |
 //!
-//! All binaries accept `--threads= --bursts= --burst-items= --runs=
+//! Throughput and per-layer cost measurements live in the separate
+//! `turnq_bench` driver (`turnq_bench/BENCHMARK.md`).
+//!
+//! The table and figure binaries accept `--threads= --bursts= --burst-items= --runs=
 //! --pairs= --warmup=` plus `--queues=turn,kp,ms,mutex,faa|all`, `--quick`
 //! and `--paper` scale presets, and honour the `TURNQ_*` environment
 //! variables (see `turnq_harness::config`).
@@ -31,7 +36,7 @@ pub fn scale_from(args: &Args) -> Scale {
     base.apply_args(args)
 }
 
-/// Hardware threads visible to this process — every JSON artifact records
+/// Hardware threads visible to this process — the soak artifact records
 /// it (schema requirement, docs/bench_format.md): absolute numbers are
 /// environment-dependent, and a validator or reader interpreting a
 /// speedup column needs to know how much real parallelism backed it.
@@ -41,7 +46,7 @@ pub fn hardware_threads() -> usize {
 
 /// CPU model string when the platform exposes one (`/proc/cpuinfo`'s
 /// `model name` on Linux); `None` elsewhere. Recorded next to
-/// [`hardware_threads`] in every artifact when readable.
+/// [`hardware_threads`] when readable.
 pub fn cpu_model() -> Option<String> {
     let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
     let line = info.lines().find(|l| l.starts_with("model name"))?;

@@ -41,19 +41,18 @@ const HPS_PER_THREAD: usize = 3;
 /// Default `MAX_THREADS` when none is given.
 pub const DEFAULT_MAX_THREADS: usize = 32;
 
-/// Default fast-path retry budget when the `fastpath` feature is on: the
-/// number of direct MS-style CAS attempts an operation makes before
-/// publishing a CRTurn request (DESIGN.md §6c). Small on purpose — each
+/// Default fast-path retry budget: the number of direct MS-style CAS
+/// attempts an operation makes before publishing a CRTurn request
+/// (DESIGN.md §6c). Small on purpose — each
 /// attempt scans the consensus array for pending requests, so a large
 /// budget only adds bounded-but-wasted work under contention.
 pub const DEFAULT_FAST_TRIES: u32 = 4;
 
 /// Default segment size (items per linked node) for
-/// [`TurnQueueBuilder::build_seg`] when the `segments` feature is on: 16
-/// cells amortize the consensus/HP/pool traffic ×16 while keeping a
-/// segment within a few cache lines. With the feature off the default
-/// collapses to 1, the paper-literal one-item-per-node configuration.
-pub const DEFAULT_SEG_SIZE: usize = if cfg!(feature = "segments") { 16 } else { 1 };
+/// [`TurnQueueBuilder::build_seg`]: 16 cells amortize the consensus/HP/pool
+/// traffic ×16 while keeping a segment within a few cache lines.
+/// `.seg_size(1)` is the paper-literal one-item-per-node configuration.
+pub const DEFAULT_SEG_SIZE: usize = 16;
 
 /// A memory-unbounded multi-producer/multi-consumer wait-free queue.
 ///
@@ -120,7 +119,7 @@ pub struct TurnQueue<T> {
     /// attempts an operation makes before falling back to the paper's
     /// request-publication slow path. 0 disables the fast path (every
     /// operation is paper-literal CRTurn). Defaults to
-    /// [`DEFAULT_FAST_TRIES`] when the `fastpath` feature is on, 0 when off.
+    /// [`DEFAULT_FAST_TRIES`].
     fast_tries: u32,
     /// The fast path's starvation guard ("panic flag", §6c): every fast
     /// attempt scans the consensus array and falls back on any pending
@@ -238,10 +237,9 @@ impl TurnQueueBuilder {
 
     /// Explicit per-thread node-pool capacity (0 disables recycling).
     /// Unset, the pool defaults to
-    /// [`retired_bound_with_threshold`](turnq_hazard::retired_bound_with_threshold)
-    /// when the `node-pool` feature is on and 0 when it is off; larger
-    /// sizes buy nothing, since a free list can never receive more nodes
-    /// than the reclamation backlog bound.
+    /// [`retired_bound_with_threshold`](turnq_hazard::retired_bound_with_threshold);
+    /// larger sizes buy nothing, since a free list can never receive more
+    /// nodes than the reclamation backlog bound.
     pub fn pool_capacity(mut self, capacity: usize) -> Self {
         self.pool_capacity = Some(capacity);
         self
@@ -250,8 +248,7 @@ impl TurnQueueBuilder {
     /// Fast-path retry budget (DESIGN.md §6c): direct MS-style CAS attempts
     /// per operation before falling back to CRTurn request publication.
     /// 0 disables the fast path. Unset, defaults to
-    /// [`DEFAULT_FAST_TRIES`] when the `fastpath` feature is on, 0 when
-    /// off.
+    /// [`DEFAULT_FAST_TRIES`].
     pub fn fast_tries(mut self, tries: u32) -> Self {
         self.fast_tries = Some(tries);
         self
@@ -377,24 +374,16 @@ impl TurnQueueBuilder {
             );
         }
         let registry_shared = registry.is_some();
+        // One free list can then absorb the worst-case reclamation burst a
+        // single scan may deliver (see `pool` module docs).
         let pool_capacity = pool_capacity.unwrap_or_else(|| {
-            if cfg!(feature = "node-pool") {
-                // One free list can then absorb the worst-case reclamation
-                // burst a single scan may deliver (see `pool` module docs).
-                turnq_hazard::retired_bound_with_threshold(
-                    max_threads,
-                    HPS_PER_THREAD,
-                    hp_scan_threshold,
-                )
-            } else {
-                0
-            }
+            turnq_hazard::retired_bound_with_threshold(
+                max_threads,
+                HPS_PER_THREAD,
+                hp_scan_threshold,
+            )
         });
-        let fast_tries = fast_tries.unwrap_or(if cfg!(feature = "fastpath") {
-            DEFAULT_FAST_TRIES
-        } else {
-            0
-        });
+        let fast_tries = fast_tries.unwrap_or(DEFAULT_FAST_TRIES);
         let mk_slots = || {
             (0..max_threads)
                 .map(|_| CachePadded::new(AtomicPtr::new(ptr::null_mut())))
@@ -450,9 +439,9 @@ impl TurnQueueBuilder {
 
     /// Build the segment-node queue (DESIGN.md §6d): linked nodes carry
     /// [`seg_size`](Self::seg_size) item cells claimed by FAA, with CRTurn
-    /// consensus paid only at segment boundaries. `seg_size = 1` (the
-    /// default with the `segments` feature off) returns the per-item queue
-    /// behind the same interface — the paper-literal ablation.
+    /// consensus paid only at segment boundaries. `seg_size = 1` returns
+    /// the per-item queue behind the same interface — the paper-literal
+    /// ablation.
     pub fn build_seg<T: Send>(self) -> crate::seg::SegTurnQueue<T> {
         crate::seg::SegTurnQueue::from_builder(self)
     }
@@ -1768,7 +1757,7 @@ impl<T> QueueIntrospect for TurnQueue<T> {
             // With the node pool (default config) a steady-state enqueue
             // reuses the node the previous dequeue's scan reclaimed, so no
             // allocator call remains per item.
-            steady_state_allocs_per_item: if cfg!(feature = "node-pool") { 0 } else { 1 },
+            steady_state_allocs_per_item: 0,
         }
     }
 
@@ -1972,8 +1961,7 @@ mod tests {
         assert_eq!(r.dequeue_request_bytes, 0);
         assert_eq!(r.fixed_per_thread_bytes, 24);
         assert_eq!(r.min_heap_allocs_per_item, 1);
-        let expected_steady = if cfg!(feature = "node-pool") { 0 } else { 1 };
-        assert_eq!(r.steady_state_allocs_per_item, expected_steady);
+        assert_eq!(r.steady_state_allocs_per_item, 0);
     }
 
     #[test]
@@ -2023,18 +2011,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_feature_gate() {
+    fn builder_defaults_match_the_constants() {
+        assert_eq!(DEFAULT_FAST_TRIES, 4);
+        assert_eq!(DEFAULT_SEG_SIZE, 16);
         let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).build();
-        let expected = if cfg!(feature = "fastpath") {
-            DEFAULT_FAST_TRIES
-        } else {
-            0
-        };
-        assert_eq!(q.fast_tries(), expected);
+        assert_eq!(q.fast_tries(), DEFAULT_FAST_TRIES);
+        assert_eq!(
+            q.pool_capacity(),
+            turnq_hazard::retired_bound_with_threshold(2, HPS_PER_THREAD, 0)
+        );
         // The historical constructors are thin wrappers over the builder,
         // so they inherit the same default.
         let q2: TurnQueue<u32> = TurnQueue::with_pool_config(3, 1, 16, 8);
-        assert_eq!(q2.fast_tries(), expected);
+        assert_eq!(q2.fast_tries(), DEFAULT_FAST_TRIES);
         assert_eq!(q2.max_threads(), 3);
         assert_eq!(q2.pool_capacity(), 8);
     }

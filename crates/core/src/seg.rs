@@ -877,11 +877,8 @@ mod tests {
             }
         }
         assert_eq!(q.dequeue(), None);
-        #[cfg(feature = "node-pool")]
-        {
-            let s = q.pool_stats();
-            assert!(s.hits > 0, "appends must reuse pooled segments: {s:?}");
-        }
+        let s = q.pool_stats();
+        assert!(s.hits > 0, "appends must reuse pooled segments: {s:?}");
     }
 
     #[test]

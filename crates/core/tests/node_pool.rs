@@ -42,7 +42,6 @@ fn every_item_drops_exactly_once_even_with_a_warm_pool() {
         // The dequeues retired nodes into the pool, so the queue now drops
         // with BOTH undequeued items in the list AND recycled nodes in the
         // pool — the compose-time double-free/leak hazard this test pins.
-        #[cfg(feature = "node-pool")]
         assert!(
             q.pool_stats().pooled_now > 0,
             "test must exercise drop with a non-empty pool"
@@ -55,7 +54,6 @@ fn every_item_drops_exactly_once_even_with_a_warm_pool() {
     );
 }
 
-#[cfg(feature = "node-pool")]
 #[test]
 fn ping_pong_runs_out_of_the_pool_after_warmup() {
     const WARMUP: u64 = 100;
@@ -86,7 +84,7 @@ fn ping_pong_runs_out_of_the_pool_after_warmup() {
 #[test]
 fn pool_capacity_zero_reproduces_allocate_free_behavior() {
     const OPS: u64 = 1_000;
-    // Explicitly pool-off via capacity, independent of the feature flag.
+    // Pool off (the paper's allocate/free behavior) via the runtime knob.
     let q: TurnQueue<u64> = TurnQueue::with_pool_config(2, 0, 0, 0);
     assert_eq!(q.pool_capacity(), 0);
     for i in 0..OPS {
@@ -148,9 +146,6 @@ fn aba_hammer_eight_threads_delivers_exactly_once() {
     assert_eq!(all, expected, "every item delivered exactly once");
     // Under churn the pool must have actually recycled (the hammer above is
     // only an ABA test if pointer values were reused).
-    #[cfg(feature = "node-pool")]
-    {
-        let s = q.pool_stats();
-        assert!(s.hits > 0, "hammer never exercised recycling: {s:?}");
-    }
+    let s = q.pool_stats();
+    assert!(s.hits > 0, "hammer never exercised recycling: {s:?}");
 }

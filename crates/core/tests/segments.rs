@@ -71,11 +71,8 @@ fn seg_aba_hammer_eight_threads_delivers_exactly_once() {
     assert_eq!(all, expected, "every item delivered exactly once");
     // Under churn the pool must have actually recycled segments (the
     // hammer above is only an ABA test if ring addresses were reused).
-    #[cfg(feature = "node-pool")]
-    {
-        let s = q.pool_stats();
-        assert!(s.hits > 0, "hammer never exercised segment recycling: {s:?}");
-    }
+    let s = q.pool_stats();
+    assert!(s.hits > 0, "hammer never exercised segment recycling: {s:?}");
 }
 
 /// Deterministic single-thread shadow of the reset property: cycle the
@@ -105,7 +102,6 @@ fn recycled_rings_start_from_a_clean_slate_every_round() {
         }
         assert_eq!(q.dequeue(), None, "round {round}: ring held a stale item");
     }
-    #[cfg(feature = "node-pool")]
     assert!(
         q.pool_stats().hits > 100,
         "rounds must run out of the pool: {:?}",

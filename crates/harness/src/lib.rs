@@ -10,10 +10,7 @@
 //!   microbenchmarks;
 //! * [`memusage`] — a counting global allocator measuring the "heap
 //!   allocations per item" row of Table 4 and the alloc/free balance after
-//!   queue teardown (leak detection, as used against FK in §4);
-//! * [`telemetry`] — runs a workload on one long-lived queue and folds the
-//!   queue's accumulated telemetry snapshot (helping, CAS retries, HP and
-//!   pool traffic, helping-depth histogram) into report tables.
+//!   queue teardown (leak detection, as used against FK in §4).
 //!
 //! Plus shared infrastructure: [`config::Scale`] (paper-scale vs
 //! container-scale parameters), [`kinds::QueueKind`] (run-time queue
@@ -28,7 +25,6 @@ pub mod memusage;
 pub mod plot;
 pub mod stats;
 pub mod tables;
-pub mod telemetry;
 pub mod throughput;
 
 pub use config::{Args, Scale};

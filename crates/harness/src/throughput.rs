@@ -33,22 +33,16 @@ pub fn measure_pairs(kind: QueueKind, scale: &Scale) -> PairsResult {
 fn measure_pairs_generic<F: QueueFamily>(scale: &Scale) -> PairsResult {
     let mut per_run = Vec::with_capacity(scale.runs);
     for _ in 0..scale.runs {
-        per_run.push(pairs_once::<F>(scale));
+        let queue = F::with_max_threads::<u64>(scale.threads);
+        per_run.push(pairs_once_on(&queue, scale));
     }
     PairsResult {
         ops_per_sec: median(&per_run),
     }
 }
 
-fn pairs_once<F: QueueFamily>(scale: &Scale) -> u64 {
-    let queue = F::with_max_threads::<u64>(scale.threads);
-    pairs_once_on(&queue, scale)
-}
-
-/// One pairs run against an externally owned queue, so a caller can reuse
-/// the instance across runs and read its accumulated telemetry afterwards
-/// (see [`crate::telemetry`]).
-pub fn pairs_once_on<Q: ConcurrentQueue<u64>>(queue: &Q, scale: &Scale) -> u64 {
+/// One pairs run against an already built queue.
+fn pairs_once_on<Q: ConcurrentQueue<u64>>(queue: &Q, scale: &Scale) -> u64 {
     let threads = scale.threads;
     let per_thread = (scale.pairs / threads).max(1);
     let barrier = Barrier::new(threads);
@@ -119,43 +113,9 @@ pub fn split_ratio(total: usize, p: usize, c: usize) -> (usize, usize) {
     })
 }
 
-/// Resolve a requested sharded lane count against a worker thread count
-/// (the `--lanes` sibling of [`try_split_ratio`], used by `bench_sharded`):
-/// lanes beyond the thread count's next power of two would only be swept,
-/// never fed, so the request is clamped down to it. `Err` with a usage
-/// message when the request is unusable: no threads, zero lanes, or a
-/// non-power-of-two count (which the sharded builder's affinity mask
-/// cannot express — surfaced here as a usage error instead of a panic).
-pub fn try_split_lanes(n_threads: usize, lanes: usize) -> Result<usize, String> {
-    if n_threads < 1 {
-        return Err(format!(
-            "a lane split needs at least 1 thread (got --threads={n_threads})"
-        ));
-    }
-    if lanes == 0 {
-        return Err("lane count must be >= 1 (got --lanes=0)".to_string());
-    }
-    if !lanes.is_power_of_two() {
-        return Err(format!(
-            "lane count must be a power of two (got --lanes={lanes}; producer \
-             affinity is a mask of the dense thread index)"
-        ));
-    }
-    Ok(lanes.min(n_threads.next_power_of_two()))
-}
-
-/// [`try_split_lanes`] for binaries: prints the error to stderr and exits
-/// with status 2 (a usage error, not a panic backtrace).
-pub fn split_lanes(n_threads: usize, lanes: usize) -> usize {
-    try_split_lanes(n_threads, lanes).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    })
-}
-
 /// Asymmetric producer:consumer protocol for one queue — the `--ratio`
-/// variant of the pairs benchmark (used by `bench_fastpath` and
-/// `figure2_throughput_pairs`; see docs/bench_format.md). The scale's
+/// variant of the pairs benchmark (used by `figure2_throughput_pairs`;
+/// see docs/bench_format.md). The scale's
 /// `threads` field is ignored: the run uses `producers + consumers`
 /// worker threads.
 pub fn measure_ratio(
@@ -182,14 +142,14 @@ fn measure_ratio_generic<F: QueueFamily>(
     }
 }
 
-/// One asymmetric run against an externally owned queue (which must have
+/// One asymmetric run against an already built queue (which must have
 /// been built for at least `producers + consumers` threads): `producers`
 /// threads push `scale.pairs / producers` items each while `consumers`
 /// threads pop until every pushed item has been consumed. Returns total
 /// operations per second, counting one enqueue and one dequeue per item
 /// (failed pops on a momentarily empty queue are not counted — the metric
 /// stays comparable with [`pairs_once_on`]).
-pub fn ratio_once_on<Q: ConcurrentQueue<u64>>(
+fn ratio_once_on<Q: ConcurrentQueue<u64>>(
     queue: &Q,
     scale: &Scale,
     producers: usize,
@@ -285,7 +245,7 @@ fn measure_bursts_generic<F: QueueFamily>(scale: &Scale) -> BurstResult {
 ///
 /// Each worker records its own start/end offsets per burst against a
 /// shared origin; the burst's wall time is `max(end) - min(start)` over
-/// the workers (no separate timekeeper — see `pairs_once` for why).
+/// the workers (no separate timekeeper — see `pairs_once_on` for why).
 fn bursts_once<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
     let threads = scale.threads;
     let per_thread = (scale.burst_items / threads).max(1);
@@ -408,30 +368,6 @@ mod tests {
             let err = try_split_ratio(4, p, c).unwrap_err();
             assert!(err.contains("must be >= 1"), "{p}:{c}: {err}");
             assert!(err.contains(&format!("{p}:{c}")), "{p}:{c}: {err}");
-        }
-    }
-
-    #[test]
-    fn split_lanes_clamps_to_the_thread_count() {
-        assert_eq!(split_lanes(32, 8), 8);
-        assert_eq!(split_lanes(8, 8), 8);
-        // More lanes than threads could feed: clamped to the thread
-        // count's next power of two.
-        assert_eq!(split_lanes(4, 16), 4);
-        assert_eq!(split_lanes(6, 16), 8);
-        assert_eq!(split_lanes(1, 2), 1);
-    }
-
-    #[test]
-    fn split_lanes_rejects_bad_requests_with_clear_error() {
-        let err = try_split_lanes(0, 4).unwrap_err();
-        assert!(err.contains("at least 1 thread"), "{err}");
-        let err = try_split_lanes(8, 0).unwrap_err();
-        assert!(err.contains(">= 1"), "{err}");
-        for lanes in [3, 6, 12] {
-            let err = try_split_lanes(8, lanes).unwrap_err();
-            assert!(err.contains("power of two"), "{lanes}: {err}");
-            assert!(err.contains(&format!("--lanes={lanes}")), "{lanes}: {err}");
         }
     }
 

@@ -641,8 +641,8 @@ fn run_post(
 /// Derivation (constants deliberately generous; the audit's value is in
 /// the *shape* — no term grows with anything but `max_threads`):
 ///
-/// * fast path (DESIGN.md §6c; this crate builds the queue with the
-///   default-on `fastpath` feature): ≤ `FT = DEFAULT_FAST_TRIES = 4`
+/// * fast path (DESIGN.md §6c; on unless a queue is built with
+///   `fast_tries(0)`): ≤ `FT = DEFAULT_FAST_TRIES = 4`
 ///   attempts, each a hazard publish/validate, a panic-flag scan of ≤
 ///   `2·mt` consensus slots, and two CASes — ≤ `FT·(2·mt + 12)` accesses;
 /// * helping loop: ≤ `mt + 1` iterations (the paper's turn consensus

@@ -193,7 +193,8 @@ pub const SEQCST_BUILD: bool = cfg!(feature = "seqcst");
 /// * **`seqcst` feature (paper-literal)** — every alias collapses to
 ///   `Ordering::SeqCst`, reproducing the ordering regime the paper's
 ///   Algorithms 1–5 are specified under. One flag restores the ablation
-///   baseline; `bench_orderings` measures the difference.
+///   baseline; building `turnq_bench` with `--features turnq-sync/seqcst`
+///   measures the difference.
 ///
 /// `SEQ_CST` exists so that sites whose correctness argument genuinely
 /// needs a single total order (the Turn consensus publish/scan pair, the

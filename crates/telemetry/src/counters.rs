@@ -52,7 +52,7 @@ pub enum CounterId {
     /// Registry slots released (thread exit or explicit release).
     SlotRelease,
     /// Fast-path enqueues: the uncontended tail-append CAS succeeded with
-    /// no request publication (Turn queue `fastpath` mode).
+    /// no request publication (Turn queue fast path, `fast_tries > 0`).
     FastEnqHit,
     /// Fast-path enqueue attempts that lost a race (tail moved or the link
     /// CAS failed) and retried within the `fast_tries` budget.

@@ -244,7 +244,8 @@ fn bounded_front_unbounded_back() {
 }
 
 /// The dual-mode ordering gate (see module docs), run once per fast-path
-/// mode: an 8-thread MPMC stress with an exactly-once +
+/// mode and once on the paper-literal queue (`fast_tries(0)` plus
+/// `pool_capacity(0)`): an 8-thread MPMC stress with an exactly-once +
 /// per-producer-FIFO oracle, then exact linearizability windows at 8
 /// threads. `turnq_sync::SEQCST_BUILD` labels the ordering mode and
 /// `fast_tries` labels the fast-path mode, so together with the seqcst
@@ -253,13 +254,27 @@ fn bounded_front_unbounded_back() {
 #[test]
 fn eight_thread_stress_and_oracle_dual_mode() {
     let ordering = if turnq_sync::SEQCST_BUILD { "seqcst" } else { "relaxed" };
-    for (fastpath, tries) in [("fastpath-on", DEFAULT_FAST_TRIES), ("fastpath-off", 0)] {
-        stress_and_oracle(&format!("{ordering}+{fastpath}"), tries);
+    for (label, tries, pool) in [
+        ("fastpath-on", DEFAULT_FAST_TRIES, None),
+        ("fastpath-off", 0, None),
+        ("fastpath-off+pool-off", 0, Some(0)),
+    ] {
+        stress_and_oracle(&format!("{ordering}+{label}"), tries, pool);
     }
 }
 
-fn stress_and_oracle(mode: &str, fast_tries: u32) {
-    println!("mode under test: {mode} (fast_tries={fast_tries})");
+/// A builder with `pool_capacity` applied when given (`Some(0)` turns node
+/// recycling off: the paper's allocate/free behavior).
+fn builder(max_threads: usize, pool_capacity: Option<usize>) -> TurnQueueBuilder {
+    let b = TurnQueueBuilder::new().max_threads(max_threads);
+    match pool_capacity {
+        Some(c) => b.pool_capacity(c),
+        None => b,
+    }
+}
+
+fn stress_and_oracle(mode: &str, fast_tries: u32, pool_capacity: Option<usize>) {
+    println!("mode under test: {mode} (fast_tries={fast_tries}, pool_capacity={pool_capacity:?})");
 
     // --- 8-thread stress: 4 producers + 4 consumers on the full queue.
     const PRODUCERS: usize = 4;
@@ -268,8 +283,7 @@ fn stress_and_oracle(mode: &str, fast_tries: u32) {
     const TOTAL: usize = PRODUCERS * PER as usize;
 
     let q: Arc<TurnQueue<u64>> = Arc::new(
-        TurnQueueBuilder::new()
-            .max_threads(PRODUCERS + CONSUMERS)
+        builder(PRODUCERS + CONSUMERS, pool_capacity)
             .fast_tries(fast_tries)
             .build(),
     );
@@ -331,8 +345,7 @@ fn stress_and_oracle(mode: &str, fast_tries: u32) {
         enqueue_bias: 128,
     };
     for seed in 500..510 {
-        let q: TurnQueue<u64> = TurnQueueBuilder::new()
-            .max_threads(config.threads + 1)
+        let q: TurnQueue<u64> = builder(config.threads + 1, pool_capacity)
             .fast_tries(fast_tries)
             .build();
         let history = record_history(&q, config, seed);
@@ -348,23 +361,27 @@ fn stress_and_oracle(mode: &str, fast_tries: u32) {
     }
 }
 
-/// The segment-mode twin of the gate above (DESIGN.md §6d), run once
-/// with 16-cell segments and once in the `seg_size = 1` paper-literal
-/// degeneration: the same 8-thread stress oracle plus exact
+/// The segment-mode twin of the gate above (DESIGN.md §6d), run with
+/// 16-cell segments (pooled and unpooled rings) and in the `seg_size = 1`
+/// paper-literal degeneration: the same 8-thread stress oracle plus exact
 /// linearizability windows, over the FAA cell claims, boundary appends,
 /// head advances, and the cached-HP discipline that per-item mode never
-/// exercises. Together with the segments-off CI leg this covers the
-/// seg-{on,off} × {relaxed,seqcst} matrix.
+/// exercises. Together with the seqcst CI leg this covers the
+/// seg-{16,1} × {relaxed,seqcst} matrix.
 #[test]
 fn eight_thread_stress_and_oracle_segmented_dual_mode() {
     let ordering = if turnq_sync::SEQCST_BUILD { "seqcst" } else { "relaxed" };
-    for (label, seg_size) in [("seg-16", 16), ("seg-1", 1)] {
-        seg_stress_and_oracle(&format!("{ordering}+{label}"), seg_size);
+    for (label, seg_size, pool) in [
+        ("seg-16", 16, None),
+        ("seg-16+pool-off", 16, Some(0)),
+        ("seg-1", 1, None),
+    ] {
+        seg_stress_and_oracle(&format!("{ordering}+{label}"), seg_size, pool);
     }
 }
 
-fn seg_stress_and_oracle(mode: &str, seg_size: usize) {
-    println!("mode under test: {mode} (seg_size={seg_size})");
+fn seg_stress_and_oracle(mode: &str, seg_size: usize, pool_capacity: Option<usize>) {
+    println!("mode under test: {mode} (seg_size={seg_size}, pool_capacity={pool_capacity:?})");
 
     // --- 8-thread stress: 4 producers + 4 consumers on the segmented
     // queue, same oracle as the fast-path gate.
@@ -374,8 +391,7 @@ fn seg_stress_and_oracle(mode: &str, seg_size: usize) {
     const TOTAL: usize = PRODUCERS * PER as usize;
 
     let q: Arc<SegTurnQueue<u64>> = Arc::new(
-        TurnQueueBuilder::new()
-            .max_threads(PRODUCERS + CONSUMERS)
+        builder(PRODUCERS + CONSUMERS, pool_capacity)
             .seg_size(seg_size)
             .build_seg(),
     );
@@ -437,8 +453,7 @@ fn seg_stress_and_oracle(mode: &str, seg_size: usize) {
         enqueue_bias: 128,
     };
     for seed in 700..710 {
-        let q: SegTurnQueue<u64> = TurnQueueBuilder::new()
-            .max_threads(config.threads + 1)
+        let q: SegTurnQueue<u64> = builder(config.threads + 1, pool_capacity)
             .seg_size(seg_size)
             .build_seg();
         let history = record_history(&q, config, seed);
