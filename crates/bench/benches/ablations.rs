@@ -10,12 +10,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use turn_queue::TurnQueue;
+use turn_queue::{TurnQueue, TurnQueueBuilder};
 
 fn bench_hp_scan_threshold(c: &mut Criterion) {
     let mut group = c.benchmark_group("hp_scan_threshold");
     for r in [0usize, 8, 64] {
-        let q: TurnQueue<u64> = TurnQueue::with_config(2, r);
+        let q: TurnQueue<u64> = TurnQueueBuilder::new().max_threads(2).hp_scan_threshold(r).build();
         group.bench_with_input(BenchmarkId::from_parameter(r), &r, |b, _| {
             b.iter(|| {
                 q.enqueue(black_box(1));
@@ -53,8 +53,12 @@ fn bench_backoff(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(spins), &spins, |b, &spins| {
             b.iter_custom(|iters| {
                 const THREADS: usize = 4;
-                let q: Arc<TurnQueue<u64>> =
-                    Arc::new(TurnQueue::with_full_config(THREADS, 0, spins));
+                let q: Arc<TurnQueue<u64>> = Arc::new(
+                    TurnQueueBuilder::new()
+                        .max_threads(THREADS)
+                        .backoff_spins(spins)
+                        .build(),
+                );
                 let barrier = Arc::new(Barrier::new(THREADS));
                 let total_ns = Arc::new(AtomicU64::new(0));
                 let per_thread = (iters as usize / THREADS).max(1) as u64;
@@ -97,11 +101,12 @@ fn bench_node_pool(c: &mut Criterion) {
     use std::sync::{Arc, Barrier};
 
     fn run_pairs(threads: usize, pool_on: bool, iters: u64) -> std::time::Duration {
+        let builder = TurnQueueBuilder::new().max_threads(threads);
         let q: Arc<TurnQueue<u64>> = Arc::new(if pool_on {
             // Default capacity: retired_bound-sized free lists.
-            TurnQueue::with_full_config(threads, 0, 0)
+            builder.build()
         } else {
-            TurnQueue::with_pool_config(threads, 0, 0, 0)
+            builder.pool_capacity(0).build()
         });
         let barrier = Arc::new(Barrier::new(threads));
         let total_ns = Arc::new(AtomicU64::new(0));

@@ -29,8 +29,7 @@
 //! zero heap allocation: `try_enqueue` = pop a free index, write the item,
 //! push the index onto `aq`; `dequeue` is the mirror image. A full queue
 //! is a `Full` verdict from `fq`'s threshold, backpressure instead of
-//! allocation — the missing bounded-memory story for the sharded
-//! front-end (§6e), which mounts this ring as fixed-capacity lane backing.
+//! allocation.
 
 use std::mem::MaybeUninit;
 use std::sync::Arc;
@@ -52,8 +51,7 @@ use turnq_threadreg::ThreadRegistry;
 #[derive(Debug, PartialEq, Eq)]
 pub struct Full<T>(pub T);
 
-/// Default ring capacity (items) used by [`BoundedFamily`] and the sharded
-/// bounded-lane mode.
+/// Default ring capacity (items) used by [`BoundedFamily`].
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Default bounded fast-path attempts before an operation publishes a
@@ -423,7 +421,6 @@ pub struct BoundedBuilder {
     max_threads: usize,
     fast_tries: usize,
     defer_spins: usize,
-    registry: Option<ThreadRegistry>,
     help_scan: bool,
     threshold_reset_override: Option<i64>,
 }
@@ -441,7 +438,6 @@ impl BoundedBuilder {
             max_threads: 8,
             fast_tries: DEFAULT_FAST_TRIES,
             defer_spins: DEFAULT_DEFER_SPINS,
-            registry: None,
             help_scan: true,
             threshold_reset_override: None,
         }
@@ -481,13 +477,6 @@ impl BoundedBuilder {
         self
     }
 
-    /// Share an existing registry (the sharded front-end passes its own so
-    /// every lane sees one dense id space).
-    pub fn registry(mut self, registry: ThreadRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Test-only: disable the request-slot helping scan (verdict delivery
     /// *and* the defer window). This deliberately breaks the
     /// O(MAX_THREADS) bound — it exists so the modelcheck mutant suite can
@@ -518,14 +507,8 @@ impl BoundedBuilder {
         let order = (2 * cap).trailing_zeros();
         let fq_reset = Ring::threshold_reset(cap);
         let aq_reset = self.threshold_reset_override.unwrap_or(fq_reset);
-        // A queue folds the registry's slot tallies into its snapshot only
-        // when it owns the registry; with a shared one (sharded lanes) the
-        // front-end folds them exactly once instead.
-        let owns_registry = self.registry.is_none();
-        let registry = self
-            .registry
-            .unwrap_or_else(|| ThreadRegistry::new(self.max_threads));
-        let max_threads = registry.capacity();
+        let max_threads = self.max_threads;
+        let registry = ThreadRegistry::new(max_threads);
         let data = (0..cap)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect::<Vec<_>>()
@@ -552,7 +535,6 @@ impl BoundedBuilder {
             defer_spins: self.defer_spins,
             help_scan: self.help_scan,
             capacity: cap,
-            owns_registry,
         }
     }
 }
@@ -585,7 +567,6 @@ pub struct BoundedQueue<T> {
     defer_spins: usize,
     help_scan: bool,
     capacity: usize,
-    owns_registry: bool,
 }
 
 // SAFETY(send-sync): items cross threads through `data`; slot ownership is
@@ -624,8 +605,7 @@ impl<T: Send> BoundedQueue<T> {
         &self.telemetry
     }
 
-    /// The shared registry (exposed so the sharded front-end can mount
-    /// lanes on one id space).
+    /// The queue's thread registry.
     pub fn registry_handle(&self) -> ThreadRegistry {
         self.registry.clone()
     }
@@ -944,10 +924,8 @@ impl<T: Send> QueueIntrospect for BoundedQueue<T> {
         if turnq_telemetry::ENABLED {
             snap.set_gauge("bq_capacity", self.capacity as u64);
             snap.set_gauge("bq_len_hint", self.len_hint() as u64);
-            if self.owns_registry {
-                snap.add_counter("slot_claim", self.registry.slot_claims());
-                snap.add_counter("slot_release", self.registry.slot_releases());
-            }
+            snap.add_counter("slot_claim", self.registry.slot_claims());
+            snap.add_counter("slot_release", self.registry.slot_releases());
         }
         Some(snap)
     }

@@ -19,8 +19,8 @@
 //!   nodes, never by separate request objects.
 //! * [`SegTurnQueue`] — the segment-node execution mode (`build_seg`):
 //!   nodes carry `seg_size` FAA-claimed item cells, paying CRTurn consensus
-//!   (and HP/pool traffic) only at segment boundaries; `seg_size = 1` is
-//!   the paper-literal per-item queue.
+//!   (and HP/pool traffic) only at segment boundaries. The paper-literal
+//!   per-item queue is `.pool_capacity(0).fast_tries(0).build()`.
 //! * [`TurnMpscQueue`] / [`TurnSpmcQueue`] — the paper's observation that
 //!   the enqueue and dequeue halves are independently pluggable, realized
 //!   as single-consumer / single-producer variants.

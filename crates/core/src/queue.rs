@@ -51,7 +51,8 @@ pub const DEFAULT_FAST_TRIES: u32 = 4;
 /// Default segment size (items per linked node) for
 /// [`TurnQueueBuilder::build_seg`]: 16 cells amortize the consensus/HP/pool
 /// traffic ×16 while keeping a segment within a few cache lines.
-/// `.seg_size(1)` is the paper-literal one-item-per-node configuration.
+/// The paper-literal one-item-per-node queue is
+/// `.pool_capacity(0).fast_tries(0).build()`.
 pub const DEFAULT_SEG_SIZE: usize = 16;
 
 /// A memory-unbounded multi-producer/multi-consumer wait-free queue.
@@ -151,10 +152,9 @@ unsafe impl<T: Send> Sync for TurnQueue<T> {}
 
 /// Builder for [`TurnQueue`]: the single home of every configuration knob.
 ///
-/// The historical constructors (`new`/`with_max_threads`/`with_config`/
-/// `with_full_config`/`with_pool_config`) are thin wrappers over this —
-/// prefer the builder in new code, especially for the knobs the positional
-/// constructors never grew (`fast_tries`).
+/// The shorthand constructors [`TurnQueue::new`] and
+/// [`TurnQueue::with_max_threads`] are thin wrappers over this; every other
+/// knob is set here.
 ///
 /// ```
 /// use turn_queue::{TurnQueue, TurnQueueBuilder};
@@ -315,14 +315,18 @@ impl TurnQueueBuilder {
     /// items per linked node. Producers and consumers claim cells inside a
     /// segment with one FAA each and pay CRTurn consensus only at segment
     /// boundaries, amortizing consensus, HP publication, and pool traffic
-    /// ×K. Must be a power of two ≥ 1; `seg_size = 1` degenerates to the
-    /// paper-literal one-item-per-node queue (the ablation baseline).
+    /// ×K. Must be a power of two ≥ 2: one item per node is the
+    /// per-item queue that [`build`](Self::build) returns (the
+    /// paper-literal baseline is `.pool_capacity(0).fast_tries(0).build()`).
     /// Unset, defaults to [`DEFAULT_SEG_SIZE`].
     ///
     /// Ignored by [`build`](Self::build), which always constructs the
     /// per-item queue.
     pub fn seg_size(mut self, k: usize) -> Self {
-        assert!(k >= 1, "seg_size must be at least 1 (got 0)");
+        assert!(
+            k >= 2,
+            "seg_size must be at least 2 (got {k}); per-item nodes come from `build()`"
+        );
         assert!(
             k.is_power_of_two(),
             "seg_size must be a power of two (got {k})"
@@ -439,9 +443,8 @@ impl TurnQueueBuilder {
 
     /// Build the segment-node queue (DESIGN.md §6d): linked nodes carry
     /// [`seg_size`](Self::seg_size) item cells claimed by FAA, with CRTurn
-    /// consensus paid only at segment boundaries. `seg_size = 1` returns
-    /// the per-item queue behind the same interface — the paper-literal
-    /// ablation.
+    /// consensus paid only at segment boundaries. The per-item queue is
+    /// [`build`](Self::build).
     pub fn build_seg<T: Send>(self) -> crate::seg::SegTurnQueue<T> {
         crate::seg::SegTurnQueue::from_builder(self)
     }
@@ -470,56 +473,6 @@ impl<T> TurnQueue<T> {
     /// new code.
     pub fn with_max_threads(max_threads: usize) -> Self {
         Self::builder().max_threads(max_threads).build()
-    }
-
-    /// Like [`with_max_threads`](Self::with_max_threads), with an explicit
-    /// hazard-pointer scan threshold `R`
-    /// ([`TurnQueueBuilder::hp_scan_threshold`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_config(max_threads: usize, hp_scan_threshold: usize) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .build()
-    }
-
-    /// Thread bound, HP scan threshold `R`, and the deliberate-backoff spin
-    /// budget of §4.1 ([`TurnQueueBuilder::backoff_spins`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_full_config(
-        max_threads: usize,
-        hp_scan_threshold: usize,
-        backoff_spins: u32,
-    ) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .backoff_spins(backoff_spins)
-            .build()
-    }
-
-    /// [`with_full_config`](Self::with_full_config) plus an explicit
-    /// per-thread node-pool capacity
-    /// ([`TurnQueueBuilder::pool_capacity`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_pool_config(
-        max_threads: usize,
-        hp_scan_threshold: usize,
-        backoff_spins: u32,
-        pool_capacity: usize,
-    ) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .backoff_spins(backoff_spins)
-            .pool_capacity(pool_capacity)
-            .build()
     }
 
     /// Pop a recycled node from the caller's free list, or allocate a fresh
@@ -1966,7 +1919,7 @@ mod tests {
 
     #[test]
     fn backoff_config_preserves_semantics() {
-        let q: TurnQueue<u32> = TurnQueue::with_full_config(2, 0, 256);
+        let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).backoff_spins(256).build();
         for i in 0..200 {
             q.enqueue(i);
         }
@@ -1980,7 +1933,12 @@ mod tests {
     fn backoff_mpmc_delivery() {
         const THREADS: usize = 4;
         const PER: u64 = 2_000;
-        let q: Arc<TurnQueue<u64>> = Arc::new(TurnQueue::with_full_config(THREADS, 0, 64));
+        let q: Arc<TurnQueue<u64>> = Arc::new(
+            TurnQueueBuilder::new()
+                .max_threads(THREADS)
+                .backoff_spins(64)
+                .build(),
+        );
         let received = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             for p in 0..THREADS / 2 {
@@ -2020,9 +1978,17 @@ mod tests {
             q.pool_capacity(),
             turnq_hazard::retired_bound_with_threshold(2, HPS_PER_THREAD, 0)
         );
-        // The historical constructors are thin wrappers over the builder,
-        // so they inherit the same default.
-        let q2: TurnQueue<u32> = TurnQueue::with_pool_config(3, 1, 16, 8);
+        // The shorthand constructors are thin wrappers over the builder,
+        // so they inherit the same defaults.
+        let q1: TurnQueue<u32> = TurnQueue::with_max_threads(3);
+        assert_eq!(q1.fast_tries(), DEFAULT_FAST_TRIES);
+        // Explicit knobs leave the unset ones at their defaults.
+        let q2: TurnQueue<u32> = TurnQueueBuilder::new()
+            .max_threads(3)
+            .hp_scan_threshold(1)
+            .backoff_spins(16)
+            .pool_capacity(8)
+            .build();
         assert_eq!(q2.fast_tries(), DEFAULT_FAST_TRIES);
         assert_eq!(q2.max_threads(), 3);
         assert_eq!(q2.pool_capacity(), 8);
@@ -2172,9 +2138,9 @@ mod tests {
             // seg.rs is exempt by design: the segment mode (DESIGN.md §6d)
             // exists precisely to add FAA cell claiming on top of the
             // CAS-only core. The Table 1 claim is preserved by the paper-
-            // literal configuration (`seg_size = 1` / `build()`), which
-            // never executes seg.rs's FAA paths — everything this test
-            // scans is still CAS-only.
+            // literal per-item queue (`build()`), which never executes
+            // seg.rs's FAA paths — everything this test scans is still
+            // CAS-only.
             if path.file_name().is_some_and(|n| n == "seg.rs") {
                 continue;
             }

@@ -44,8 +44,8 @@
 //! retry implies another consumer took an item, poisoned a cell, or
 //! advanced the head, so it is lock-free in the strict sense and bounded by
 //! `K + max_threads` steps between boundary crossings in any finite
-//! execution. `seg_size = 1` (the [`SegImpl::PerItem`] degeneration)
-//! restores the paper-literal wait-free bound exactly.
+//! execution. The paper-literal wait-free bound belongs to the per-item
+//! [`TurnQueue`] ([`TurnQueueBuilder::build`]).
 
 use std::marker::PhantomData;
 
@@ -144,9 +144,27 @@ unsafe fn ring_of<'a, T>(node: *mut Node<SegRing<T>>) -> &'a SegRing<T> {
         .expect("seg-mode list node always carries a ring")
 }
 
-/// The segmented engine: the inner Turn queue over ring payloads plus the
-/// segment geometry.
-struct SegCore<T> {
+/// A Turn queue running in segment-node mode (DESIGN.md §6d): consensus,
+/// HP publication, and pool traffic amortized over `seg_size`-item
+/// segments, FAA cell claims inside each segment.
+///
+/// Built by [`TurnQueueBuilder::build_seg`]. The paper-literal per-item
+/// queue, with its strict wait-free dequeue bound and 24-byte nodes, is
+/// [`TurnQueue`] ([`TurnQueueBuilder::build`]).
+///
+/// ```
+/// use turn_queue::{SegTurnQueue, TurnQueueBuilder};
+///
+/// let q: SegTurnQueue<u64> = TurnQueueBuilder::new().max_threads(4).seg_size(8).build_seg();
+/// q.enqueue(1);
+/// q.enqueue(2);
+/// assert_eq!(q.dequeue(), Some(1));
+/// assert_eq!(q.dequeue(), Some(2));
+/// assert_eq!(q.dequeue(), None);
+/// ```
+pub struct SegTurnQueue<T> {
+    /// The inner Turn queue over ring payloads: its list protocol runs
+    /// only at segment boundaries.
     inner: TurnQueue<SegRing<T>>,
     seg_size: usize,
     /// The drained-segment guard (always `true` in production): a consumer
@@ -157,7 +175,7 @@ struct SegCore<T> {
     drained_guard: bool,
 }
 
-impl<T> SegCore<T> {
+impl<T> SegTurnQueue<T> {
     /// Pop a recycled node (reusing its retained ring allocation when the
     /// geometry matches) or allocate a fresh one; either way the node
     /// carries a ring seeded with `item` and our thread id.
@@ -492,46 +510,11 @@ impl<T> SegCore<T> {
     }
 }
 
-/// A Turn queue running in segment-node mode (DESIGN.md §6d): consensus,
-/// HP publication, and pool traffic amortized over `seg_size`-item
-/// segments, FAA cell claims inside each segment.
-///
-/// Built by [`TurnQueueBuilder::build_seg`]; `seg_size = 1` transparently
-/// degenerates to the per-item [`TurnQueue`] (the paper-literal ablation),
-/// including its strict wait-free dequeue bound and 24-byte nodes.
-///
-/// ```
-/// use turn_queue::{SegTurnQueue, TurnQueueBuilder};
-///
-/// let q: SegTurnQueue<u64> = TurnQueueBuilder::new().max_threads(4).seg_size(8).build_seg();
-/// q.enqueue(1);
-/// q.enqueue(2);
-/// assert_eq!(q.dequeue(), Some(1));
-/// assert_eq!(q.dequeue(), Some(2));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-pub struct SegTurnQueue<T> {
-    imp: SegImpl<T>,
-}
-
-enum SegImpl<T> {
-    /// `seg_size == 1`: the per-item Turn queue, verbatim.
-    PerItem(TurnQueue<T>),
-    /// `seg_size >= 2`: the segmented engine.
-    Seg(SegCore<T>),
-}
-
 impl<T: Send> SegTurnQueue<T> {
     pub(crate) fn from_builder(builder: TurnQueueBuilder) -> Self {
         let k = builder.seg_size.unwrap_or(DEFAULT_SEG_SIZE);
         // The setter validates; this re-checks the defaults path.
-        debug_assert!(k >= 1 && k.is_power_of_two());
-        if k == 1 {
-            // Paper-literal degeneration: no ring indirection at all.
-            return SegTurnQueue {
-                imp: SegImpl::PerItem(builder.build()),
-            };
-        }
+        debug_assert!(k >= 2 && k.is_power_of_two());
         let drained_guard = builder.seg_drained_guard;
         let mut builder = builder;
         // Retired segments keep their ring allocation through the pool so
@@ -550,11 +533,9 @@ impl<T: Send> SegTurnQueue<T> {
         // exclusively — no other thread can reach the sentinel yet.
         unsafe { *(*sentinel).item.get() = Some(SegRing::fresh(k)) };
         SegTurnQueue {
-            imp: SegImpl::Seg(SegCore {
-                inner,
-                seg_size: k,
-                drained_guard,
-            }),
+            inner,
+            seg_size: k,
+            drained_guard,
         }
     }
 
@@ -569,25 +550,15 @@ impl<T: Send> SegTurnQueue<T> {
     /// consensus append.
     #[inline]
     pub fn enqueue(&self, item: T) {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.enqueue(item),
-            SegImpl::Seg(core) => {
-                let tid = core.inner.registry.current_index();
-                core.enqueue_with(tid, item);
-            }
-        }
+        let tid = self.inner.registry.current_index();
+        self.enqueue_with(tid, item);
     }
 
     /// Remove and return the head item, or `None` if the queue is empty.
     #[inline]
     pub fn dequeue(&self) -> Option<T> {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.dequeue(),
-            SegImpl::Seg(core) => {
-                let tid = core.inner.registry.current_index();
-                core.dequeue_with(tid)
-            }
-        }
+        let tid = self.inner.registry.current_index();
+        self.dequeue_with(tid)
     }
 
     /// A handle caching the calling thread's registry index (cannot be
@@ -595,10 +566,7 @@ impl<T: Send> SegTurnQueue<T> {
     /// [`TurnQueue::handle`].
     #[inline]
     pub fn handle(&self) -> Result<SegHandle<'_, T>, RegistryFull> {
-        let tid = match &self.imp {
-            SegImpl::PerItem(q) => q.registry.try_current_index()?,
-            SegImpl::Seg(core) => core.inner.registry.try_current_index()?,
-        };
+        let tid = self.inner.registry.try_current_index()?;
         Ok(SegHandle {
             queue: self,
             tid,
@@ -608,62 +576,39 @@ impl<T: Send> SegTurnQueue<T> {
 
     /// The `max_threads` bound this queue was built with.
     pub fn max_threads(&self) -> usize {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.max_threads(),
-            SegImpl::Seg(core) => core.inner.max_threads(),
-        }
+        self.inner.max_threads()
     }
 
-    /// Items per segment (1 = per-item degeneration).
+    /// Items per segment.
     pub fn seg_size(&self) -> usize {
-        match &self.imp {
-            SegImpl::PerItem(_) => 1,
-            SegImpl::Seg(core) => core.seg_size,
-        }
+        self.seg_size
     }
 
     /// The fast-path retry budget of the underlying consensus appends.
     pub fn fast_tries(&self) -> u32 {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.fast_tries(),
-            SegImpl::Seg(core) => core.inner.fast_tries(),
-        }
+        self.inner.fast_tries()
     }
 
     /// Racy emptiness hint (memory-safe: the segmented probe holds HP
     /// while it dereferences the head ring).
     pub fn is_empty(&self) -> bool {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.is_empty(),
-            SegImpl::Seg(core) => {
-                let tid = core.inner.registry.current_index();
-                core.is_empty_probe(tid)
-            }
-        }
+        let tid = self.inner.registry.current_index();
+        self.is_empty_probe(tid)
     }
 
     /// Aggregated counters of the node-recycling pool (all threads).
     pub fn pool_stats(&self) -> PoolStats {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.pool_stats(),
-            SegImpl::Seg(core) => core.inner.pool_stats(),
-        }
+        self.inner.pool_stats()
     }
 
     /// See [`TurnQueue::telemetry_snapshot`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.telemetry_snapshot(),
-            SegImpl::Seg(core) => core.inner.telemetry_snapshot(),
-        }
+        self.inner.telemetry_snapshot()
     }
 
     /// The raw telemetry sheet.
     pub fn telemetry(&self) -> &TelemetrySheet {
-        match &self.imp {
-            SegImpl::PerItem(q) => q.telemetry(),
-            SegImpl::Seg(core) => core.inner.telemetry(),
-        }
+        self.inner.telemetry()
     }
 }
 
@@ -679,19 +624,13 @@ impl<T: Send> SegHandle<'_, T> {
     /// See [`SegTurnQueue::enqueue`].
     #[inline]
     pub fn enqueue(&self, item: T) {
-        match &self.queue.imp {
-            SegImpl::PerItem(q) => q.enqueue_with(self.tid, item),
-            SegImpl::Seg(core) => core.enqueue_with(self.tid, item),
-        }
+        self.queue.enqueue_with(self.tid, item);
     }
 
     /// See [`SegTurnQueue::dequeue`].
     #[inline]
     pub fn dequeue(&self) -> Option<T> {
-        match &self.queue.imp {
-            SegImpl::PerItem(q) => q.dequeue_with(self.tid),
-            SegImpl::Seg(core) => core.dequeue_with(self.tid),
-        }
+        self.queue.dequeue_with(self.tid)
     }
 
     /// The registry index this handle caches.
@@ -718,8 +657,6 @@ impl<T: Send> ConcurrentQueue<T> for SegTurnQueue<T> {
 
 impl<T: Send> QueueIntrospect for SegTurnQueue<T> {
     fn props() -> QueueProps {
-        // Describes the segmented configuration (seg_size >= 2); the
-        // `seg_size = 1` degeneration has exactly `TurnQueue`'s props.
         QueueProps {
             name: "Turn-seg",
             progress_enqueue: Progress::WaitFreeBounded,
@@ -819,23 +756,13 @@ mod tests {
     }
 
     #[test]
-    fn seg_size_one_degenerates_to_per_item() {
-        let q: SegTurnQueue<u32> = seg_queue(2, 1);
-        assert_eq!(q.seg_size(), 1);
-        assert!(matches!(q.imp, SegImpl::PerItem(_)));
-        for i in 0..20 {
-            q.enqueue(i);
-        }
-        for i in 0..20 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "seg_size must be at least 1")]
     fn seg_size_zero_rejected() {
-        let _ = TurnQueueBuilder::new().seg_size(0);
+        // 1 too: per-item nodes are `build()`'s queue, not a segment size.
+        for k in [0, 1] {
+            let err = std::panic::catch_unwind(|| TurnQueueBuilder::new().seg_size(k)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("seg_size must be at least 2"), "{msg}");
+        }
     }
 
     #[test]
@@ -929,7 +856,7 @@ mod tests {
 
     #[test]
     fn handle_paths_cover_both_modes() {
-        for k in [1usize, 4] {
+        for k in [2usize, 4] {
             let q: SegTurnQueue<u32> = seg_queue(2, k);
             let h = q.handle().unwrap();
             for i in 0..10 {

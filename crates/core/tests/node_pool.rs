@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use turn_queue::TurnQueue;
+use turn_queue::{TurnQueue, TurnQueueBuilder};
 
 /// Payload that counts its drops.
 struct DropCounter(Arc<AtomicUsize>);
@@ -85,7 +85,7 @@ fn ping_pong_runs_out_of_the_pool_after_warmup() {
 fn pool_capacity_zero_reproduces_allocate_free_behavior() {
     const OPS: u64 = 1_000;
     // Pool off (the paper's allocate/free behavior) via the runtime knob.
-    let q: TurnQueue<u64> = TurnQueue::with_pool_config(2, 0, 0, 0);
+    let q: TurnQueue<u64> = TurnQueueBuilder::new().max_threads(2).pool_capacity(0).build();
     assert_eq!(q.pool_capacity(), 0);
     for i in 0..OPS {
         q.enqueue(i);

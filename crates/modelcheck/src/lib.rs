@@ -689,7 +689,7 @@ pub fn turn_step_bound(max_threads: usize) -> u64 {
 /// The audited scenarios bound boundary crossings per operation to one —
 /// the honest global statement (§6d) is that the dequeue side is
 /// *interference-bounded* (each extra crossing charges another thread's
-/// completed operation), and `seg_size = 1` restores the strict
+/// completed operation); the per-item queue keeps the strict
 /// [`turn_step_bound`] wait-free bound.
 pub fn seg_step_bound(max_threads: usize, seg_size: usize) -> u64 {
     let mt = max_threads as u64;

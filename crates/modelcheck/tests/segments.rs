@@ -4,9 +4,8 @@
 //!
 //! The positive suites assert that every explored interleaving of cell
 //! claims, poisons, boundary appends, and head advances stays linearizable,
-//! race free, and within [`seg_step_bound`]; the `seg_size = 1` suite pins
-//! the degeneration to the per-item queue's stricter [`turn_step_bound`].
-//! The mutant disables the drained-segment guard
+//! race free, and within [`seg_step_bound`]. The per-item queue's stricter
+//! `turn_step_bound` is pinned by `turn_queue.rs`. The mutant disables the drained-segment guard
 //! (`TurnQueueBuilder::seg_drained_guard_for_tests(false)`): the head then
 //! advances past a segment as soon as a successor exists, abandoning its
 //! undelivered cells, and the linearizability oracle must report the lost
@@ -14,7 +13,7 @@
 
 use std::sync::Arc;
 use turn_queue::{SegTurnQueue, TurnQueueBuilder};
-use turnq_modelcheck::{explore, replay, seg_step_bound, turn_step_bound, Config, Scenario};
+use turnq_modelcheck::{explore, replay, seg_step_bound, Config, Scenario};
 
 /// Cell claims racing the boundary: thread 0 pushes three items through
 /// 2-cell segments (the third append runs the consensus path), thread 1
@@ -116,51 +115,6 @@ fn seg_recycling_boundary_explores_clean() {
         }
     });
     report.assert_clean();
-    assert!(report.max_dequeue_steps <= bound);
-}
-
-/// The paper-literal ablation: `seg_size = 1` must degenerate to the
-/// per-item queue under the same exploration, including the *stricter*
-/// per-item wait-freedom bound [`turn_step_bound`].
-#[test]
-fn seg_size_one_degenerates_to_turn_bound() {
-    let bound = turn_step_bound(2);
-    let cfg = Config {
-        threads: 2,
-        budget: 4_000,
-        dfs_budget: 3_000,
-        step_bound: Some(bound),
-        ..Config::default()
-    };
-    let report = explore(&cfg, |log| {
-        let q: Arc<SegTurnQueue<u64>> =
-            Arc::new(TurnQueueBuilder::new().max_threads(2).seg_size(1).build_seg());
-        let qp = Arc::clone(&q);
-        let q0 = Arc::clone(&q);
-        let q1 = q;
-        let l0 = log.clone();
-        let l1 = log;
-        Scenario {
-            bodies: vec![
-                Box::new(move || {
-                    let h = q0.handle().expect("registry slot");
-                    l0.enqueue(0, 1, || h.enqueue(1));
-                    l0.dequeue(0, || h.dequeue());
-                }),
-                Box::new(move || {
-                    let h = q1.handle().expect("registry slot");
-                    l1.dequeue(1, || h.dequeue());
-                    l1.enqueue(1, 2, || h.enqueue(2));
-                }),
-            ],
-            post: Some(Box::new(move || {
-                drop(qp);
-                Ok(())
-            })),
-        }
-    });
-    report.assert_clean();
-    assert!(report.max_enqueue_steps <= bound);
     assert!(report.max_dequeue_steps <= bound);
 }
 

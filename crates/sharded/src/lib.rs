@@ -39,7 +39,6 @@ use turnq_sync::ord;
 use turnq_telemetry::{CounterId, TelemetrySheet, TelemetrySnapshot};
 use turnq_threadreg::{RegistryFull, ThreadRegistry};
 use turn_queue::{SegTurnQueue, TurnQueueBuilder};
-use turnq_bounded::{BoundedBuilder, BoundedQueue, Full};
 
 /// Default lane count of [`ShardedBuilder`]: enough independent tails to
 /// spread a few dozen producers, small enough that a full dequeue sweep
@@ -71,7 +70,6 @@ pub struct ShardedBuilder {
     seg_size: Option<usize>,
     stall_threshold_ns: u64,
     lane_occupancy_bound: usize,
-    bounded_lane_capacity: Option<usize>,
     sweep_skip: usize,
     sweep_lanes: Option<usize>,
 }
@@ -85,7 +83,6 @@ impl Default for ShardedBuilder {
             seg_size: None,
             stall_threshold_ns: u64::MAX,
             lane_occupancy_bound: DEFAULT_LANE_OCCUPANCY_BOUND,
-            bounded_lane_capacity: None,
             sweep_skip: 0,
             sweep_lanes: None,
         }
@@ -131,9 +128,9 @@ impl ShardedBuilder {
     }
 
     /// Per-lane segment size ([`TurnQueueBuilder::seg_size`]); unset keeps
-    /// the lane default. Must be a power of two ≥ 1.
+    /// the lane default. Must be a power of two ≥ 2.
     pub fn seg_size(mut self, k: usize) -> Self {
-        assert!(k >= 1, "seg_size must be at least 1 (got 0)");
+        assert!(k >= 2, "seg_size must be at least 2 (got {k})");
         assert!(
             k.is_power_of_two(),
             "seg_size must be a power of two (got {k})"
@@ -158,21 +155,6 @@ impl ShardedBuilder {
     pub fn lane_occupancy_bound(mut self, bound: usize) -> Self {
         assert!(bound >= 1, "lane_occupancy_bound must be at least 1");
         self.lane_occupancy_bound = bound;
-        self
-    }
-
-    /// Bounded-lane mode (DESIGN.md §6f): back every lane with a
-    /// fixed-capacity wait-free ring ([`turnq_bounded::BoundedQueue`])
-    /// instead of an unbounded Turn queue, plus one unbounded Turn
-    /// *spill* lane that absorbs `Full` overflow. Allocation-free in
-    /// steady state while backlogs stay under `capacity`, with a hard
-    /// per-lane memory ceiling; `relaxation_k` is recomputed from the
-    /// ring capacity (the ring *enforces* the occupancy bound the
-    /// default mode merely declares). `capacity` is rounded up to a
-    /// power of two, at most [`turnq_bounded::MAX_CAPACITY`].
-    pub fn bounded_lane_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "bounded_lane_capacity must be at least 1");
-        self.bounded_lane_capacity = Some(capacity.next_power_of_two());
         self
     }
 
@@ -209,14 +191,11 @@ impl ShardedBuilder {
             seg_size,
             stall_threshold_ns,
             lane_occupancy_bound,
-            bounded_lane_capacity,
             sweep_skip,
             sweep_lanes,
         } = self;
         let registry = ThreadRegistry::new(max_threads);
-        // Bounded-lane mode keeps exactly one Turn queue: the spill lane.
-        let turn_lanes = if bounded_lane_capacity.is_some() { 1 } else { lanes };
-        let built: Vec<SegTurnQueue<T>> = (0..turn_lanes)
+        let built: Vec<SegTurnQueue<T>> = (0..lanes)
             .map(|_| {
                 let mut b = TurnQueueBuilder::new()
                     .max_threads(max_threads)
@@ -231,17 +210,6 @@ impl ShardedBuilder {
                 b.build_seg()
             })
             .collect();
-        let rings: Vec<BoundedQueue<T>> = match bounded_lane_capacity {
-            Some(cap) => (0..lanes)
-                .map(|_| {
-                    BoundedBuilder::new()
-                        .capacity(cap)
-                        .registry(registry.clone())
-                        .build()
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         let cursors = (0..max_threads)
             // Spread consumers' starting lanes the same way producers are
             // spread, so an all-consumer phase does not convoy on lane 0.
@@ -250,8 +218,6 @@ impl ShardedBuilder {
             .into_boxed_slice();
         ShardedTurnQueue {
             lanes: built.into_boxed_slice(),
-            rings: rings.into_boxed_slice(),
-            ring_capacity: bounded_lane_capacity.unwrap_or(0),
             lane_mask: lanes - 1,
             registry,
             telemetry: Arc::new(TelemetrySheet::new(max_threads)),
@@ -268,14 +234,8 @@ impl ShardedBuilder {
 /// bounded FIFO drift `k = lanes × lane_occupancy_bound`. See the crate
 /// docs for the protocol and DESIGN.md §6e for the arguments.
 pub struct ShardedTurnQueue<T: Send> {
-    /// Unbounded Turn lanes (default mode), or the single spill lane
-    /// (bounded-lane mode).
+    /// The unbounded segment-mode Turn lanes.
     lanes: Box<[SegTurnQueue<T>]>,
-    /// Fixed-capacity wait-free rings, one per lane — empty slice unless
-    /// [`ShardedBuilder::bounded_lane_capacity`] is set.
-    rings: Box<[BoundedQueue<T>]>,
-    /// Per-ring item capacity (0 in the default unbounded mode).
-    ring_capacity: usize,
     lane_mask: usize,
     /// One registry spans every lane ([`TurnQueueBuilder::registry`]):
     /// a thread's dense index — and therefore its home lane — is the same
@@ -308,21 +268,7 @@ impl<T: Send> ShardedTurnQueue<T> {
     /// lane, the paper's `O(max_threads)` wait-free bound applies.
     pub fn enqueue(&self, item: T) {
         let tid = self.registry.current_index();
-        let lane = tid & self.lane_mask;
-        if !self.rings.is_empty() {
-            // Bounded-lane mode: the home ring's `Full` verdict routes the
-            // item to the unbounded Turn spill lane (backpressure signal
-            // preserved in telemetry, no item ever dropped).
-            match self.rings[lane].try_enqueue(item) {
-                Ok(()) => self.telemetry.bump(tid, CounterId::ShardEnqHome),
-                Err(Full(item)) => {
-                    self.lanes[0].enqueue(item);
-                    self.telemetry.bump(tid, CounterId::ShardEnqSpill);
-                }
-            }
-            return;
-        }
-        self.lanes[lane].enqueue(item);
+        self.lanes[tid & self.lane_mask].enqueue(item);
         self.telemetry.bump(tid, CounterId::ShardEnqHome);
     }
 
@@ -331,9 +277,6 @@ impl<T: Send> ShardedTurnQueue<T> {
     /// empty (the relaxed-emptiness verdict, `docs/algorithm.md`).
     pub fn dequeue(&self) -> Option<T> {
         let tid = self.registry.current_index();
-        if !self.rings.is_empty() {
-            return self.dequeue_bounded(tid);
-        }
         // ORDERING(sh.cursor-own): RELAXED — `cursors[tid]` is owner-only
         // (read and written by thread `tid` exclusively); the value is a
         // starting hint with no cross-thread reader, so no happens-before
@@ -383,45 +326,6 @@ impl<T: Send> ShardedTurnQueue<T> {
         None
     }
 
-    /// Bounded-lane sweep: same rotating-cursor protocol over the rings
-    /// (each probe is the ring's O(1) threshold emptiness verdict when the
-    /// lane is drained), with the spill lane probed last.
-    fn dequeue_bounded(&self, tid: usize) -> Option<T> {
-        // ORDERING(sh.cursor-own): RELAXED — owner-only cursor hint (see
-        // the unbounded sweep above).
-        let start = self.cursors[tid].load(ord::RELAXED);
-        let mut skip = self.sweep_skip;
-        for probe in 0..self.sweep_lanes {
-            let lane = (start + probe) & self.lane_mask;
-            if skip > 0 && self.rings[lane].len_hint() > 0 {
-                // Test-only mutant path (`sweep_skip_for_tests`).
-                skip -= 1;
-                continue;
-            }
-            if let Some(item) = self.rings[lane].try_dequeue() {
-                self.telemetry.bump(
-                    tid,
-                    if probe == 0 {
-                        CounterId::ShardDeqHit
-                    } else {
-                        CounterId::ShardDeqSteal
-                    },
-                );
-                // ORDERING(sh.cursor-own): RELAXED — owner-only store.
-                self.cursors[tid].store(lane, ord::RELAXED);
-                return Some(item);
-            }
-        }
-        // Overflowed items drain from the spill lane once every ring came
-        // up empty — the full-sweep emptiness verdict covers it too.
-        if let Some(item) = self.lanes[0].dequeue() {
-            self.telemetry.bump(tid, CounterId::ShardDeqSteal);
-            return Some(item);
-        }
-        self.telemetry.bump(tid, CounterId::ShardSweepEmpty);
-        None
-    }
-
     /// The FIFO-relaxation bound `k = lanes × lane_occupancy_bound`: a
     /// dequeue returns one of the first `k` pending enqueues, and `None`
     /// implies fewer than `k` items were pending at every orderable point
@@ -430,31 +334,12 @@ impl<T: Send> ShardedTurnQueue<T> {
     /// (DESIGN.md §6e). This is the `k` to hand to `turnq-linearize`'s
     /// k-relaxed oracle.
     pub fn relaxation_k(&self) -> usize {
-        if self.ring_capacity > 0 {
-            // Bounded-lane mode: the rings *enforce* an occupancy of at
-            // most `capacity` per lane (the `Full` verdict), so the ring
-            // term is a hard bound; the spill lane keeps the declared
-            // occupancy bound of the default mode.
-            return self
-                .rings
-                .len()
-                .saturating_mul(self.ring_capacity)
-                .saturating_add(self.lane_occupancy_bound);
-        }
         self.lanes.len().saturating_mul(self.lane_occupancy_bound)
     }
 
-    /// Number of lanes (rings in bounded-lane mode — the spill lane is
-    /// not counted; it is overflow, not a routing target).
+    /// Number of lanes.
     pub fn lanes(&self) -> usize {
-        self.lane_mask + 1
-    }
-
-    /// Per-ring item capacity when built with
-    /// [`ShardedBuilder::bounded_lane_capacity`]; `None` in the default
-    /// unbounded mode.
-    pub fn bounded_lane_capacity(&self) -> Option<usize> {
-        (self.ring_capacity > 0).then_some(self.ring_capacity)
+        self.lanes.len()
     }
 
     /// The declared per-lane occupancy bound `B` behind the `k` contract.
@@ -493,8 +378,7 @@ impl<T: Send> ShardedTurnQueue<T> {
     /// instant during the call. (The relaxed emptiness *verdict* is what
     /// `dequeue()` returning `None` provides.)
     pub fn is_empty(&self) -> bool {
-        self.rings.iter().all(|ring| ring.len_hint() == 0)
-            && self.lanes.iter().all(|lane| lane.is_empty())
+        self.lanes.iter().all(|lane| lane.is_empty())
     }
 
     /// One lane's current backlog, from its quiesced-exact telemetry
@@ -537,20 +421,6 @@ impl<T: Send> ShardedTurnQueue<T> {
                 snap.set_lane_gauge("shard_lane_occupancy", i, occ);
             }
             snap.merge(&lane_snap);
-        }
-        for (i, ring) in self.rings.iter().enumerate() {
-            // Ring lanes merge their own sheets (`bq_*` counters); the
-            // spill lane above is lane index 0, rings follow at 1..=N.
-            if let Some(ring_snap) = ring.telemetry_snapshot() {
-                if turnq_telemetry::ENABLED {
-                    snap.set_lane_gauge(
-                        "shard_lane_occupancy",
-                        self.lanes.len() + i,
-                        ring.len_hint() as u64,
-                    );
-                }
-                snap.merge(&ring_snap);
-            }
         }
         if turnq_telemetry::ENABLED {
             snap.set_gauge("registry_registered", self.registry.registered_count() as u64);
@@ -830,65 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_lanes_roundtrip_and_recompute_k() {
-        let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
-            .lanes(2)
-            .max_threads(4)
-            .bounded_lane_capacity(8)
-            .lane_occupancy_bound(16)
-            .build();
-        assert_eq!(q.bounded_lane_capacity(), Some(8));
-        assert_eq!(q.lanes(), 2);
-        // k = rings × capacity (enforced) + spill's declared bound.
-        assert_eq!(q.relaxation_k(), 2 * 8 + 16);
-        for v in 1..=5 {
-            q.enqueue(v);
-        }
-        // One thread, one home ring: FIFO within capacity.
-        for v in 1..=5 {
-            assert_eq!(q.dequeue(), Some(v));
-        }
-        assert_eq!(q.dequeue(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bounded_lane_overflow_spills_and_drains() {
-        let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
-            .lanes(1)
-            .max_threads(2)
-            .bounded_lane_capacity(2)
-            .build();
-        // Capacity 2: the third and fourth items overflow to the spill
-        // lane; nothing is lost and everything drains.
-        for v in 0..4u64 {
-            q.enqueue(v);
-        }
-        let mut got: Vec<u64> = std::iter::from_fn(|| q.dequeue()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert_eq!(q.dequeue(), None);
-        if turnq_telemetry::ENABLED {
-            let snap = q.telemetry_snapshot();
-            assert_eq!(snap.counter(CounterId::ShardEnqHome), 2);
-            assert_eq!(snap.counter(CounterId::ShardEnqSpill), 2);
-            assert_eq!(
-                snap.counter(CounterId::BqEnqFast) + snap.counter(CounterId::BqEnqSlow),
-                2
-            );
-            // Registry tallies folded exactly once despite ring + spill
-            // lane sharing the registry.
-            assert_eq!(snap.get("slot_claim"), 1);
-        }
-    }
-
-    #[test]
     fn stall_reports_drain_from_lanes() {
         let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
             .lanes(2)
             .max_threads(2)
             .stall_threshold_ns(1)
-            .seg_size(1)
             .build();
         q.enqueue(1);
         let _ = q.dequeue();

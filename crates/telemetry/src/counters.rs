@@ -127,9 +127,6 @@ pub enum CounterId {
     /// one-slot cache — a dequeue handed its slot index straight to the
     /// same thread's next enqueue, skipping both `fq` ring rounds.
     BqIdxCache,
-    /// Sharded front-end (bounded-lane mode): enqueues that observed the
-    /// home ring `Full` and overflowed into the unbounded Turn spill lane.
-    ShardEnqSpill,
 }
 
 impl CounterId {
@@ -179,7 +176,6 @@ impl CounterId {
         CounterId::BqHelpRound,
         CounterId::BqTicketBurn,
         CounterId::BqIdxCache,
-        CounterId::ShardEnqSpill,
     ];
 
     /// Short name, used as the key in snapshots and to derive the exported
@@ -230,13 +226,12 @@ impl CounterId {
             CounterId::BqHelpRound => "bq_help_round",
             CounterId::BqTicketBurn => "bq_ticket_burn",
             CounterId::BqIdxCache => "bq_idx_cache",
-            CounterId::ShardEnqSpill => "shard_enq_spill",
         }
     }
 }
 
 /// Number of counters (row width of a telemetry sheet).
-pub const N_COUNTERS: usize = 45;
+pub const N_COUNTERS: usize = 44;
 
 #[cfg(test)]
 mod tests {

@@ -13,11 +13,10 @@ use std::sync::Arc;
 
 use turnq_repro::baselines::{Full, SpscRing, VyukovMpscQueue};
 use turnq_repro::linearize::recorder::RecordConfig;
-use turnq_repro::linearize::{check_history, check_history_relaxed, record_history, CheckResult};
+use turnq_repro::linearize::{check_history, record_history, CheckResult};
 use turnq_repro::{
-    BoundedBuilder, BoundedQueue, ConcurrentQueue, SegTurnQueue, ShardedBuilder,
-    ShardedTurnQueue, TurnMpscQueue, TurnQueue, TurnQueueBuilder, TurnSpmcQueue,
-    DEFAULT_FAST_TRIES,
+    BoundedBuilder, BoundedQueue, ConcurrentQueue, SegTurnQueue, TurnMpscQueue, TurnQueue,
+    TurnQueueBuilder, TurnSpmcQueue, DEFAULT_FAST_TRIES,
 };
 
 /// Fan-in then fan-out: producers → (Turn MPSC) → router thread →
@@ -362,19 +361,17 @@ fn stress_and_oracle(mode: &str, fast_tries: u32, pool_capacity: Option<usize>) 
 }
 
 /// The segment-mode twin of the gate above (DESIGN.md §6d), run with
-/// 16-cell segments (pooled and unpooled rings) and in the `seg_size = 1`
-/// paper-literal degeneration: the same 8-thread stress oracle plus exact
-/// linearizability windows, over the FAA cell claims, boundary appends,
-/// head advances, and the cached-HP discipline that per-item mode never
-/// exercises. Together with the seqcst CI leg this covers the
-/// seg-{16,1} × {relaxed,seqcst} matrix.
+/// 16-cell segments (pooled and unpooled rings): the same 8-thread stress
+/// oracle plus exact linearizability windows, over the FAA cell claims,
+/// boundary appends, head advances, and the cached-HP discipline that
+/// per-item mode never exercises. Together with the seqcst CI leg this
+/// covers the seg-16 × {relaxed,seqcst} matrix.
 #[test]
 fn eight_thread_stress_and_oracle_segmented_dual_mode() {
     let ordering = if turnq_sync::SEQCST_BUILD { "seqcst" } else { "relaxed" };
     for (label, seg_size, pool) in [
         ("seg-16", 16, None),
         ("seg-16+pool-off", 16, Some(0)),
-        ("seg-1", 1, None),
     ] {
         seg_stress_and_oracle(&format!("{ordering}+{label}"), seg_size, pool);
     }
@@ -621,44 +618,6 @@ fn bounded_eight_thread_stress_and_exact_oracle() {
             }
             CheckResult::Inconclusive => {
                 panic!("bounded: checker budget exhausted (seed {seed})")
-            }
-        }
-    }
-}
-
-/// The bounded-*lane* sharded mode under the k-relaxed gate
-/// (DESIGN.md §6f): tiny rings force constant `Full` spills into the
-/// unbounded Turn lane mid-window, and the recorded histories must stay
-/// within the `relaxation_k` the queue itself declares for that shape —
-/// the contract `k = rings × capacity + spill bound` is only honest if
-/// the spill route neither loses, duplicates, nor over-reorders items.
-#[test]
-fn bounded_lane_sharded_stress_passes_k_gate() {
-    let config = RecordConfig {
-        threads: 8,
-        ops_per_thread: 3,
-        enqueue_bias: 128,
-    };
-    // Worst case: every enqueue of the window backlogged in the spill
-    // lane (the rings hold at most capacity each, enforced by Full).
-    let bound = config.threads * config.ops_per_thread;
-    for seed in 640..652u64 {
-        let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
-            .lanes(2)
-            .bounded_lane_capacity(4)
-            .lane_occupancy_bound(bound)
-            .max_threads(config.threads + 1)
-            .build();
-        assert_eq!(q.bounded_lane_capacity(), Some(4));
-        let k = q.relaxation_k();
-        let history = record_history(&q, config, seed);
-        match check_history_relaxed(&history, k) {
-            CheckResult::Linearizable(_) => {}
-            CheckResult::NotLinearizable => panic!(
-                "bounded-lane sharded: NOT k-relaxed linearizable (k={k}, seed {seed}): {history:?}"
-            ),
-            CheckResult::Inconclusive => {
-                panic!("bounded-lane sharded: checker budget exhausted (seed {seed})")
             }
         }
     }
