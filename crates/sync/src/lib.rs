@@ -157,7 +157,7 @@ pub use imp::{atomic, cell, hint, thread};
 /// construction — its sheets are write-only on hot paths and read only by
 /// snapshot aggregation.
 pub mod observer {
-    pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 }
 
 #[cfg(feature = "modelcheck")]

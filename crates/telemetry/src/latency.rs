@@ -52,8 +52,9 @@
 pub const RANGES: usize = 64;
 
 /// Resolution of the sheet-resident histograms: `2^4 = 16` linear
-/// sub-buckets per range, ≤ 6.25 % relative error at 8 KiB per key per
-/// thread. The harness default (6 bits) is finer; both use the same
+/// sub-buckets per range, ≤ 6.25 % relative error, in one block per
+/// recording thread ([`LATENCY_BLOCK_BYTES`](crate::LATENCY_BLOCK_BYTES)).
+/// The harness default (6 bits) is finer; both use the same
 /// [`bucket_index`]/[`bucket_low`] math.
 pub const SHEET_SUB_BUCKET_BITS: u32 = 4;
 

@@ -16,7 +16,11 @@
 //!    `store(load(Relaxed) + 1, Relaxed)` — two straight-line
 //!    instructions, no retry loop, so per-op step bounds gain a constant,
 //!    not a loop. The CAS-only claim is untouched: telemetry performs no
-//!    CAS, no `fetch_add`, no `swap`.
+//!    CAS, no `fetch_add`, no `swap`. The one allocation on a recording
+//!    path is bounded: a sheet allocates at most one latency block per
+//!    thread slot over its lifetime, on that slot's first sampled
+//!    operation, and publishes it with one `Release` store — no RMW, lock
+//!    or loop (see the `sheet` module).
 //! 2. **Observers are exempt from the model checker.** Atomics come from
 //!    `turnq_sync::observer` (always std). Telemetry state is write-only
 //!    for the algorithm — nothing branches on it — so instrumenting it
@@ -48,7 +52,7 @@ mod snapshot;
 pub use counters::{CounterId, N_COUNTERS};
 pub use events::{Event, EventKind, RING_CAPACITY};
 pub use latency::{OpKey, OpTimer, LATENCY_SAMPLE_PERIOD, N_OP_KEYS};
-pub use sheet::{TelemetryHandle, TelemetrySheet};
+pub use sheet::{TelemetryHandle, TelemetrySheet, LATENCY_BLOCK_BYTES};
 pub use snapshot::{
     all_metric_names, LatencySeries, TelemetrySnapshot, EXTRA_COUNTER_NAMES, GAUGE_NAMES,
     HISTOGRAM_NAMES, LANE_GAUGE_NAMES,

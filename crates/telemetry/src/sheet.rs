@@ -14,12 +14,31 @@
 //! The atomics come from `turnq_sync::observer` — always std, never the
 //! model checker's instrumented wrappers (see that module's docs for why
 //! observers are exempt).
+//!
+//! ## The latency block: allocated by the thread that records
+//!
+//! A row's counters, depth histogram and event ring are small and built
+//! with the sheet. Its latency histograms are not: `N_OP_KEYS` series of
+//! `LAT_STATS + LAT_BUCKETS` cells come to 64 KiB, most of an empty
+//! queue's footprint if every slot carried them. So they live in one
+//! fixed-size block behind an `AtomicPtr` per row. The owning thread
+//! allocates it on its first sampled operation and publishes it with one
+//! `Release` store; a sheet therefore allocates at most one block per
+//! row over its lifetime, with no RMW, lock or loop. Only the owner
+//! writes a row, so nothing races the publication. A thread's first
+//! operation is always timed and its timed operations are at most
+//! `2 * LATENCY_SAMPLE_PERIOD` apart, so a thread working one Turn, seg
+//! or bounded queue publishes its block within its first 128 operations
+//! there. (A sharded queue's lanes are sheets of their own; a lane gets
+//! a thread's block on that thread's first timed operation in the lane.)
+//! Readers load the pointer with `Acquire` and skip rows with no block;
+//! the block is never moved and is freed only when the row drops.
 
 #[cfg(feature = "probe")]
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 #[cfg(feature = "probe")]
-use turnq_sync::observer::{AtomicU64, Ordering};
+use turnq_sync::observer::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::counters::CounterId;
 #[cfg(feature = "probe")]
@@ -28,18 +47,37 @@ use crate::events::EventKind;
 #[cfg(feature = "probe")]
 use crate::events::{pack, unpack, RING_CAPACITY};
 use crate::events::Event;
-use crate::latency::OpKey;
 #[cfg(feature = "probe")]
-use crate::latency::{bucket_index, N_OP_KEYS, RANGES, SHEET_SUB_BUCKET_BITS};
+use crate::latency::bucket_index;
+use crate::latency::{OpKey, N_OP_KEYS, RANGES, SHEET_SUB_BUCKET_BITS};
 use crate::snapshot::TelemetrySnapshot;
 
 /// Flat buckets per latency series at the sheet resolution.
-#[cfg(feature = "probe")]
 const LAT_BUCKETS: usize = RANGES << SHEET_SUB_BUCKET_BITS;
 
 /// `(count, sum, max, min)` cells per latency series.
-#[cfg(feature = "probe")]
 const LAT_STATS: usize = 4;
+
+/// Offset of the `min` cell within a series; it starts at `u64::MAX` so
+/// the first sample always wins.
+#[cfg(feature = "probe")]
+const LAT_MIN: usize = 3;
+
+/// Cells per latency series: its stat cells, then its buckets.
+const LAT_SERIES: usize = LAT_STATS + LAT_BUCKETS;
+
+/// One row's latency histograms: `N_OP_KEYS` series laid out as
+/// `key * LAT_SERIES + (stat | LAT_STATS + bucket)`.
+#[cfg(feature = "probe")]
+type LatBlock = [AtomicU64; N_OP_KEYS * LAT_SERIES];
+
+/// Heap bytes of one row's latency block, allocated by the first sampled
+/// operation of the thread that owns the row.
+pub const LATENCY_BLOCK_BYTES: usize = N_OP_KEYS * LAT_SERIES * std::mem::size_of::<u64>();
+
+/// Helping-depth buckets per cache-padded chunk (one 128-byte line pair).
+#[cfg(feature = "probe")]
+const DEPTH_CHUNK: usize = 16;
 
 /// Flight-recorder reports kept per sheet; later dumps only bump the
 /// `stall_dump` counter (a black box records the first incident, not an
@@ -53,19 +91,21 @@ const MAX_STALL_REPORTS: usize = 32;
 struct ThreadRow {
     /// Counter cells, indexed by `CounterId as usize`.
     counters: [AtomicU64; N_COUNTERS],
-    /// Helping-depth histogram: `depth[d]` counts operations that
-    /// completed after observing `d` helper iterations.
-    depth: Box<[AtomicU64]>,
+    /// Helping-depth histogram: bucket `d` counts operations that
+    /// completed after observing `d` helper iterations. Written on every
+    /// operation, so it is held in cache-padded chunks of `DEPTH_CHUNK`
+    /// buckets: a plain boxed slice would share a line with the next
+    /// row's, which is allocated right after it.
+    depth: Box<[CachePadded<[AtomicU64; DEPTH_CHUNK]>]>,
     /// Flight-recorder ring (packed events, see `events.rs`).
     ring: [AtomicU64; RING_CAPACITY],
     /// Total events ever recorded by this thread; the next write goes to
     /// `ring[ring_pos % RING_CAPACITY]`.
     ring_pos: AtomicU64,
-    /// Latency histograms: `N_OP_KEYS` log-linear series flattened as
-    /// `key * LAT_BUCKETS + bucket` (shared bucket math, `latency.rs`).
-    lat: Box<[AtomicU64]>,
-    /// Per-series `(count, sum, max, min)` cells, `LAT_STATS` per key.
-    lat_stats: Box<[AtomicU64]>,
+    /// Latency histograms (shared bucket math, `latency.rs`): null until
+    /// the owner's first sample publishes a `Box<LatBlock>`, which this
+    /// row then owns until it drops (module docs).
+    lat: AtomicPtr<LatBlock>,
 }
 
 #[cfg(feature = "probe")]
@@ -73,15 +113,12 @@ impl ThreadRow {
     fn new(depth_buckets: usize) -> Self {
         ThreadRow {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            depth: (0..depth_buckets).map(|_| AtomicU64::new(0)).collect(),
+            depth: (0..depth_buckets.div_ceil(DEPTH_CHUNK))
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
             ring: std::array::from_fn(|_| AtomicU64::new(0)),
             ring_pos: AtomicU64::new(0),
-            lat: (0..N_OP_KEYS * LAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            // min cells (offset 3) start at u64::MAX so the first sample
-            // always wins.
-            lat_stats: (0..N_OP_KEYS * LAT_STATS)
-                .map(|i| AtomicU64::new(if i % LAT_STATS == 3 { u64::MAX } else { 0 }))
-                .collect(),
+            lat: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 
@@ -90,6 +127,73 @@ impl ThreadRow {
     fn bump(&self, cell: &AtomicU64, n: u64) {
         cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
+
+    /// Owner only: this row's latency block, allocated and published on
+    /// the first call. A `Relaxed` load suffices here: the owner either
+    /// stored the pointer itself or inherited the row through the
+    /// registry's release/claim (or a lock's) happens-before edge.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn own_lat(&self) -> &LatBlock {
+        let mut block = self.lat.load(Ordering::Relaxed);
+        if block.is_null() {
+            block = publish_lat_block(&self.lat);
+        }
+        // SAFETY(tid-exclusive): non-null, so the row's owner (this
+        // thread, or the one it inherited the row from) published a live
+        // `Box<LatBlock>`; it is never moved and is freed only when the
+        // row drops, which `&self` outlives.
+        unsafe { &*block }
+    }
+
+    /// Aggregator side: the published latency block, if any.
+    #[allow(unsafe_code)]
+    fn published_lat(&self) -> Option<&LatBlock> {
+        let block = self.lat.load(Ordering::Acquire);
+        // SAFETY(publish-once): this `Acquire` load pairs with the
+        // `Release` store in `publish_lat_block`, so a non-null pointer's
+        // initialised block is visible; it is never moved and is freed
+        // only when the row drops, which `&self` outlives.
+        unsafe { block.as_ref() }
+    }
+}
+
+#[cfg(feature = "probe")]
+impl Drop for ThreadRow {
+    #[allow(unsafe_code)]
+    fn drop(&mut self) {
+        let block = *self.lat.get_mut();
+        if !block.is_null() {
+            // SAFETY(drop-exclusive): `&mut self` — no reference into the
+            // block survives, and it came from `Box::into_raw` in
+            // `publish_lat_block`, once.
+            drop(unsafe { Box::from_raw(block) });
+        }
+    }
+}
+
+/// Allocate a row's latency block (every `min` cell at `u64::MAX`, the
+/// rest 0) and publish it into `slot` with one `Release` store. Called
+/// once per row, by its owner, on its first sample.
+#[cfg(feature = "probe")]
+#[cold]
+#[inline(never)]
+fn publish_lat_block(slot: &AtomicPtr<LatBlock>) -> *mut LatBlock {
+    let cells: Box<[AtomicU64]> = (0..N_OP_KEYS * LAT_SERIES)
+        .map(|i| {
+            AtomicU64::new(if i % LAT_SERIES == LAT_MIN {
+                u64::MAX
+            } else {
+                0
+            })
+        })
+        .collect();
+    let block: Box<LatBlock> = cells
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("the block is collected at its exact length"));
+    let block = Box::into_raw(block);
+    slot.store(block, Ordering::Release);
+    block
 }
 
 /// A telemetry sheet: one row per thread id, sized like the queue's other
@@ -161,8 +265,8 @@ impl TelemetrySheet {
         #[cfg(feature = "probe")]
         {
             let row = &self.rows[tid];
-            let d = depth.min(row.depth.len() - 1);
-            row.bump(&row.depth[d], 1);
+            let d = depth.min(self.max_threads - 1);
+            row.bump(&row.depth[d / DEPTH_CHUNK][d % DEPTH_CHUNK], 1);
         }
     }
 
@@ -173,7 +277,8 @@ impl TelemetrySheet {
     ///
     /// Same owner-only plain-store discipline as [`bump`](Self::bump):
     /// one histogram-bucket increment plus four stat-cell stores, no RMW,
-    /// no loop.
+    /// no loop. The row's first sample also allocates its latency block
+    /// and publishes it with one `Release` store (module docs).
     #[inline(always)]
     #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
     pub fn record_latency(&self, tid: usize, key: OpKey, nanos: u64) {
@@ -183,16 +288,16 @@ impl TelemetrySheet {
                 return;
             }
             let row = &self.rows[tid];
+            let series = &row.own_lat()[(key as usize) * LAT_SERIES..][..LAT_SERIES];
             let bucket = bucket_index(SHEET_SUB_BUCKET_BITS, nanos);
-            row.bump(&row.lat[(key as usize) * LAT_BUCKETS + bucket], 1);
-            let s = (key as usize) * LAT_STATS;
-            row.bump(&row.lat_stats[s], 1);
-            row.bump(&row.lat_stats[s + 1], nanos);
-            let max = &row.lat_stats[s + 2];
+            row.bump(&series[LAT_STATS + bucket], 1);
+            row.bump(&series[0], 1);
+            row.bump(&series[1], nanos);
+            let max = &series[2];
             if nanos > max.load(Ordering::Relaxed) {
                 max.store(nanos, Ordering::Relaxed);
             }
-            let min = &row.lat_stats[s + 3];
+            let min = &series[LAT_MIN];
             if nanos < min.load(Ordering::Relaxed) {
                 min.store(nanos, Ordering::Relaxed);
             }
@@ -271,9 +376,10 @@ impl TelemetrySheet {
         Vec::new()
     }
 
-    /// Aggregate every row into a snapshot (Relaxed loads; exact once the
+    /// Aggregate every row into a snapshot (Relaxed loads, after one
+    /// Acquire load of each row's latency-block pointer; exact once the
     /// recording threads have quiesced, a monotone under-estimate while
-    /// they are still running).
+    /// they are still running). Rows with no block have no samples.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         #[cfg_attr(not(feature = "probe"), allow(unused_mut))]
         let mut snap = TelemetrySnapshot::empty(self.max_threads);
@@ -282,24 +388,28 @@ impl TelemetrySheet {
             for id in CounterId::ALL {
                 snap.add_counter(id.name(), row.counters[id as usize].load(Ordering::Relaxed));
             }
-            for (d, cell) in row.depth.iter().enumerate() {
+            let depth = row.depth.iter().flat_map(|chunk| chunk.iter());
+            for (d, cell) in depth.take(self.max_threads).enumerate() {
                 snap.add_depth_bucket(d, cell.load(Ordering::Relaxed));
             }
+            let Some(block) = row.published_lat() else {
+                continue;
+            };
             for key in OpKey::ALL {
-                let s = (key as usize) * LAT_STATS;
-                let count = row.lat_stats[s].load(Ordering::Relaxed);
+                let series = &block[(key as usize) * LAT_SERIES..][..LAT_SERIES];
+                let count = series[0].load(Ordering::Relaxed);
                 if count == 0 {
                     continue;
                 }
                 snap.add_latency_stats(
                     key,
                     count,
-                    row.lat_stats[s + 1].load(Ordering::Relaxed),
-                    row.lat_stats[s + 2].load(Ordering::Relaxed),
-                    row.lat_stats[s + 3].load(Ordering::Relaxed),
+                    series[1].load(Ordering::Relaxed),
+                    series[2].load(Ordering::Relaxed),
+                    series[LAT_MIN].load(Ordering::Relaxed),
                 );
-                for b in 0..LAT_BUCKETS {
-                    let n = row.lat[(key as usize) * LAT_BUCKETS + b].load(Ordering::Relaxed);
+                for (b, cell) in series[LAT_STATS..].iter().enumerate() {
+                    let n = cell.load(Ordering::Relaxed);
                     if n > 0 {
                         snap.add_latency_bucket(key, b, n);
                     }
@@ -307,6 +417,21 @@ impl TelemetrySheet {
             }
         }
         snap
+    }
+
+    /// Number of rows whose latency block has been published: the sheet's
+    /// heap beyond its construction is this many [`LATENCY_BLOCK_BYTES`].
+    /// Always 0 with `probe` off.
+    pub fn latency_blocks(&self) -> usize {
+        #[cfg(feature = "probe")]
+        {
+            self.rows
+                .iter()
+                .filter(|r| r.published_lat().is_some())
+                .count()
+        }
+        #[cfg(not(feature = "probe"))]
+        0
     }
 
     /// One thread's counter value (test/aggregation aid; Relaxed load).
@@ -465,6 +590,101 @@ mod tests {
         assert_eq!(snap.latency(OpKey::DeqFast).count(), 0);
         sheet.record_latency(0, OpKey::DeqFast, crate::latency::NOT_SAMPLED);
         assert_eq!(sheet.snapshot().latency(OpKey::DeqFast).count(), 0);
+    }
+
+    fn has_block(sheet: &TelemetrySheet, tid: usize) -> bool {
+        sheet.rows[tid].published_lat().is_some()
+    }
+
+    #[test]
+    fn fresh_sheet_has_no_latency_block() {
+        let sheet = TelemetrySheet::new(4);
+        sheet.bump(0, CounterId::EnqOps);
+        sheet.record_depth(1, 0);
+        sheet.event(2, EventKind::OpFinish, 0);
+        sheet.record_latency(3, OpKey::EnqFast, crate::latency::NOT_SAMPLED);
+        assert!((0..4).all(|t| !has_block(&sheet, t)));
+        assert_eq!(sheet.latency_blocks(), 0);
+    }
+
+    #[test]
+    fn one_sample_publishes_only_its_rows_block() {
+        let sheet = TelemetrySheet::new(4);
+        sheet.record_latency(2, OpKey::DeqSlow, 42);
+        assert_eq!(
+            (0..4).map(|t| has_block(&sheet, t)).collect::<Vec<_>>(),
+            [false, false, true, false]
+        );
+        let block = sheet.rows[2].lat.load(Ordering::Relaxed);
+        sheet.record_latency(2, OpKey::EnqFast, 7);
+        assert_eq!(
+            sheet.rows[2].lat.load(Ordering::Relaxed),
+            block,
+            "block moved"
+        );
+        assert_eq!(sheet.latency_blocks(), 1);
+        assert_eq!(sheet.snapshot().latency(OpKey::DeqSlow).min(), 42);
+    }
+
+    /// Four recorders publish their blocks while the main thread
+    /// snapshots; every snapshot is a monotone under-estimate and the one
+    /// after join is exact.
+    #[test]
+    fn concurrent_samples_and_snapshots_agree_after_join() {
+        const THREADS: usize = 4;
+        const SAMPLES: u64 = 2_000;
+        let sample = |tid: usize, i: u64| {
+            (
+                OpKey::ALL[(i as usize + tid) % N_OP_KEYS],
+                (tid as u64 + 1) * 1_000 + i,
+            )
+        };
+        let sheet = TelemetrySheet::new(THREADS);
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..THREADS {
+                let (sheet, done) = (&sheet, &done);
+                s.spawn(move || {
+                    for i in 0..SAMPLES {
+                        let (key, nanos) = sample(tid, i);
+                        sheet.record_latency(tid, key, nanos);
+                    }
+                    done.fetch_add(1, std::sync::atomic::Ordering::Release);
+                });
+            }
+            let mut seen = 0;
+            while done.load(std::sync::atomic::Ordering::Acquire) < THREADS {
+                let snap = sheet.snapshot();
+                let count: u64 = OpKey::ALL.iter().map(|&k| snap.latency(k).count()).sum();
+                assert!(count >= seen, "snapshot count fell from {seen} to {count}");
+                seen = count;
+            }
+        });
+        let snap = sheet.snapshot();
+        for key in OpKey::ALL {
+            let mut want = (0u64, 0u64, 0u64, u64::MAX);
+            for tid in 0..THREADS {
+                for i in 0..SAMPLES {
+                    let (k, nanos) = sample(tid, i);
+                    if k == key {
+                        want = (
+                            want.0 + 1,
+                            want.1 + nanos,
+                            want.2.max(nanos),
+                            want.3.min(nanos),
+                        );
+                    }
+                }
+            }
+            let got = snap.latency(key);
+            assert_eq!(
+                (got.count(), got.sum(), got.max(), got.min()),
+                want,
+                "{}",
+                key.name()
+            );
+        }
+        assert_eq!(sheet.latency_blocks(), THREADS);
     }
 
     #[test]

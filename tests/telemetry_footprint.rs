@@ -1,0 +1,70 @@
+//! The telemetry sheet's heap footprint, under the counting global
+//! allocator: an empty queue's sheet costs no more than the rest of the
+//! queue, and a thread's latency histograms (one block per recording
+//! thread) are allocated once, by its first operations, and never again.
+//!
+//! This lives in its own test binary with a single test because the
+//! allocator counters are process-wide: no sibling test may allocate
+//! while a window is measured.
+
+use turnq_repro::harness::memusage::alloc_snapshot;
+use turnq_repro::telemetry::{TelemetrySheet, ENABLED, LATENCY_BLOCK_BYTES};
+use turnq_repro::{TurnQueue, DEFAULT_MAX_THREADS};
+
+#[global_allocator]
+static ALLOC: turnq_repro::harness::CountingAllocator = turnq_repro::harness::CountingAllocator;
+
+/// Bytes requested from the allocator while `f` runs, and its result.
+fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = alloc_snapshot().bytes;
+    let out = f();
+    (alloc_snapshot().bytes - before, out)
+}
+
+fn pairs(q: &TurnQueue<u64>, n: u64) {
+    for i in 0..n {
+        q.enqueue(i);
+        assert_eq!(q.dequeue(), Some(i));
+    }
+}
+
+#[test]
+fn sheet_costs_at_most_the_queue_and_one_block_per_recording_thread() {
+    // Probes on ≤ 2× probes off for an empty default queue: the sheet is
+    // no bigger than everything else the queue allocates.
+    let (sheet_bytes, sheet) = bytes_during(|| TelemetrySheet::new(DEFAULT_MAX_THREADS));
+    drop(sheet);
+    let (queue_bytes, q) = bytes_during(TurnQueue::<u64>::new);
+    let rest = queue_bytes - sheet_bytes;
+    println!("empty TurnQueue::new(): {queue_bytes} B, of which the sheet {sheet_bytes} B");
+    assert!(
+        sheet_bytes <= rest,
+        "sheet {sheet_bytes} B outweighs the rest of the queue ({rest} B)"
+    );
+    assert_eq!(
+        q.telemetry().latency_blocks(),
+        0,
+        "a block before any sample"
+    );
+
+    // A thread's first operation is always timed: it publishes this
+    // thread's block, and nothing else in the sheet allocates.
+    let (first, ()) = bytes_during(|| pairs(&q, 1_000));
+    let blocks = q.telemetry().latency_blocks();
+    assert_eq!(
+        blocks,
+        usize::from(ENABLED),
+        "one block per recording thread"
+    );
+    let block_bytes = (blocks * LATENCY_BLOCK_BYTES) as u64;
+    println!("first 1000 pairs: {first} B, of which latency blocks {block_bytes} B");
+    assert!(
+        first >= block_bytes && first - block_bytes < LATENCY_BLOCK_BYTES as u64,
+        "first 1000 pairs allocated {first} B, not one {LATENCY_BLOCK_BYTES} B block plus the queue's warm-up"
+    );
+
+    // From then on the sheet never allocates (and a warm queue neither).
+    let (next, ()) = bytes_during(|| pairs(&q, 1_000));
+    assert_eq!(next, 0, "the next 1000 pairs allocated {next} B");
+    assert_eq!(q.telemetry().latency_blocks(), blocks);
+}
