@@ -13,6 +13,7 @@ use turnq_baselines::{SpscRing, VyukovMpscQueue};
 use turnq_bounded::BoundedFamily;
 use turnq_harness::memusage::{alloc_snapshot, measure_family, measure_memory, MemMeasurement};
 use turnq_harness::{Args, QueueKind, Table};
+use turn_queue::TurnQueue;
 
 #[global_allocator]
 static ALLOC: turnq_harness::CountingAllocator = turnq_harness::CountingAllocator;
@@ -86,6 +87,64 @@ fn measure_spsc(items: u64) -> MemMeasurement {
     }
 }
 
+/// The two-window protocol with split roles on the Turn queue: one
+/// producer thread that pauses while more than 1,024 items are queued and
+/// one consumer thread, both spinning while they wait (two threads that
+/// keep yielding to each other can stay on one core, where each time
+/// slice moves far more nodes than the depot carries). The windows are
+/// `items` dequeues each, timed on the consumer; the first also covers
+/// spawning the threads and the producer's first backlog. Nodes reach the
+/// producer only through the pool's depot (a consumer's full free list
+/// handed over whole), so this row prices that hand-over; with
+/// `pool_capacity(0)` every item would allocate.
+fn measure_turn_split_roles(items: u64) -> MemMeasurement {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const BACKLOG: u64 = 1_024;
+
+    let q: TurnQueue<u64> = TurnQueue::<u64>::builder().max_threads(4).build();
+    let consumed = AtomicU64::new(0);
+    let before = alloc_snapshot();
+    let (mid, steady) = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..2 * items {
+                while i - consumed.load(Ordering::Acquire) > BACKLOG {
+                    std::hint::spin_loop();
+                }
+                q.enqueue(i);
+            }
+        });
+        s.spawn(|| {
+            let dequeue_n = |n: u64| {
+                for _ in 0..n {
+                    let got = loop {
+                        match q.dequeue() {
+                            Some(v) => break v,
+                            None => std::hint::spin_loop(),
+                        }
+                    };
+                    debug_assert_eq!(got, consumed.load(Ordering::Relaxed));
+                    consumed.store(got + 1, Ordering::Release);
+                }
+                alloc_snapshot()
+            };
+            (dequeue_n(items), dequeue_n(items))
+        })
+        .join()
+        .expect("consumer thread")
+    });
+    let pool = q.pool_stats();
+    drop(q);
+    let after = alloc_snapshot();
+
+    MemMeasurement {
+        allocs_per_item: (mid.allocs - before.allocs) as f64 / items as f64,
+        steady_allocs_per_item: (steady.allocs - mid.allocs) as f64 / items as f64,
+        leaked_allocs: (after.allocs - before.allocs) as i64
+            - (after.frees - before.frees) as i64,
+        pool: Some(pool),
+    }
+}
+
 fn add_measured_row(table: &mut Table, name: &str, r: SizeReport, m: MemMeasurement) {
     table.add_row(vec![
         name.to_string(),
@@ -145,6 +204,15 @@ fn main() {
     // contrast the point: 0.0000 steady allocs/item against the node
     // queues' per-item heap traffic.
     use turnq_api::QueueFamily;
+    if kinds.contains(&QueueKind::Turn) {
+        eprintln!("measuring allocations for Turn (1P:1C) ({items} items) ...");
+        add_measured_row(
+            &mut table,
+            "Turn (1P:1C)",
+            QueueKind::Turn.size_report(),
+            measure_turn_split_roles(items),
+        );
+    }
     eprintln!("measuring allocations for Bounded ({items} items) ...");
     add_measured_row(
         &mut table,
@@ -171,6 +239,8 @@ fn main() {
     println!("  KP:   node 24, req 80/80, fixed 8/thread, 5+ allocs/item (Java OpDesc = 80 B;");
     println!("        our native OpDesc is 24 B, and we box the value: +1 alloc)");
     println!("  Turn: node 24, req 0/0, fixed 24/thread, 1 alloc/item");
+    println!("  (Turn's 1 alloc/item is what `pool_capacity(0)` measures; the default pool");
+    println!("   recycles nodes, and `Turn (1P:1C)` prices the hand-over to a dedicated producer.)");
     println!("  (FK 16/32+/32N/80N/1 and YMC 40/16/16/72/3 are not implemented here — excluded by the paper.)");
     println!();
 

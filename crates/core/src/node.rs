@@ -133,9 +133,11 @@ impl<T> Node<T> {
     /// from a fresh allocation to the queue protocol.
     ///
     /// Plain (non-atomic) stores via `get_mut` are correct here: the node
-    /// came out of the caller's *own* free list, so no other thread can
-    /// reach it until the caller publishes it with a SeqCst CAS on `tail`
-    /// (or `next`), which orders these writes before any reader.
+    /// came out of the caller's *own* free list (filled by its own scans,
+    /// or by a chain it won from the pool's depot with an acquire CAS), so
+    /// no other thread can reach it until the caller publishes it with a
+    /// CAS on `tail` (or `next`), which orders these writes before any
+    /// reader.
     ///
     /// # Safety
     ///

@@ -1,5 +1,6 @@
-//! Wait-free node recycling: per-thread caches fed by hazard-pointer
-//! reclamation.
+//! Wait-free node recycling: per-thread free lists fed by hazard-pointer
+//! reclamation, plus a one-slot depot that moves whole lists between
+//! threads.
 //!
 //! The Turn queue pays exactly one heap allocation per item (Table 4) — the
 //! node — and one matching free when the hazard-pointer scan reclaims it.
@@ -10,18 +11,40 @@
 //! nodes into a [`NodePool`] of per-thread free lists, and the enqueue path
 //! pops from the caller's list before falling back to the allocator.
 //!
-//! ## Why wait-freedom is untouched
+//! ## Free lists and the depot
 //!
 //! Each free list is owned by exactly one registered thread index and is
 //! only ever touched by the thread holding that index (the same exclusivity
 //! contract the hazard-pointer retired lists already rely on): `acquire`
 //! runs inside the owner's enqueue, and `release` runs inside the owner's
-//! retire-scan, on the same thread. Owner-only access means pops and pushes
-//! are plain loads and stores — no CAS, no RMW, no retry loop — so both are
-//! O(1) population-oblivious and the queue's `O(max_threads)` bounds are
-//! preserved. (The counters are atomics only so other threads may *read*
-//! them; the owner updates them with load+store, never fetch-and-add,
-//! keeping the crate's CAS-only claim intact.)
+//! retire-scan, on the same thread. A list is intrusive: it is threaded
+//! through each pooled node's own `next` field, which is free to reuse once
+//! the scan has proven the node unreachable. Pushes and pops are plain
+//! loads and stores.
+//!
+//! Nodes recycle on the *retiring* thread, so with split roles (a dedicated
+//! producer and a dedicated consumer) the consumer's list is always full
+//! and the producer's always empty. The depot bridges the two: one shared
+//! slot that is either null or one chain of exactly `capacity` nodes.
+//!
+//! * `release` on a full list tries one CAS `null → head`. If it wins, the
+//!   whole list moves to the depot and the node starts a fresh list; if
+//!   it loses (the depot is occupied), the node overflows to the allocator.
+//! * `acquire` on an empty list loads the depot and, if it holds a chain,
+//!   tries one CAS `chain → null`. If it wins, the chain becomes the
+//!   caller's list; if it loses, the caller allocates.
+//!
+//! ## Why wait-freedom is untouched
+//!
+//! Each call makes at most one depot load and one CAS, with no loop, so
+//! both operations stay O(1) and population-oblivious and the queue's
+//! `O(max_threads)` bounds are preserved. A take reads the chain's links
+//! only after its CAS has won, so an ABA on the depot hands out whatever
+//! chain is in the slot at that moment, never a stale one; a deposit only
+//! succeeds into an empty slot, so no chain is ever overwritten. No
+//! `swap` or fetch-and-add is used (the counters are atomics only so other
+//! threads may *read* them; the owner updates them with load+store),
+//! keeping the crate's CAS-only claim intact.
 //!
 //! ## Why the capacity is `retired_bound`
 //!
@@ -31,15 +54,17 @@
 //! scan threshold `R` when nonzero). Sizing each free list to exactly that
 //! bound means a list can absorb the worst-case reclamation burst without
 //! overflowing, while keeping pooled memory bounded by
-//! `max_threads × retired_bound` nodes per queue — the same asymptotic
-//! class as the hazard-pointer backlog itself. Anything beyond capacity
-//! overflows to the allocator, so a capacity of 0 reproduces the classic
+//! `(max_threads + 1) × retired_bound` nodes per queue (every list plus the
+//! depot) — the same asymptotic class as the hazard-pointer backlog
+//! itself. Anything beyond that overflows to the allocator, and a capacity
+//! of 0 never touches the depot, so it reproduces the classic
 //! free-to-allocator behavior exactly.
 
-use turnq_sync::atomic::AtomicU64;
+use std::ptr;
+use std::sync::Arc;
+use turnq_sync::atomic::{AtomicPtr, AtomicU64};
 use turnq_sync::cell::UnsafeCell;
 use turnq_sync::ord;
-use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use turnq_api::PoolStats;
@@ -50,10 +75,11 @@ use crate::node::Node;
 
 /// One thread's free list plus its counters.
 ///
-/// `free` is owner-only (see module docs); the atomics mirror state for
-/// cross-thread readers and are written with plain load+store by the owner.
+/// `head` is owner-only (see module docs); `len` is the list's length,
+/// written only by the owner and atomic so `stats()` may read it from other
+/// threads. The counters mirror state the same way.
 struct PoolSlot<T> {
-    free: UnsafeCell<Vec<*mut Node<T>>>,
+    head: UnsafeCell<*mut Node<T>>,
     len: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -62,10 +88,9 @@ struct PoolSlot<T> {
 }
 
 impl<T> PoolSlot<T> {
-    fn with_capacity(capacity: usize) -> Self {
+    fn new() -> Self {
         PoolSlot {
-            // Pre-size so a release never allocates inside the scan.
-            free: UnsafeCell::new(Vec::with_capacity(capacity)),
+            head: UnsafeCell::new(ptr::null_mut()),
             len: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -86,13 +111,34 @@ fn bump(counter: &AtomicU64) {
     counter.store(counter.load(ord::RELAXED) + 1, ord::RELAXED);
 }
 
-/// Per-thread caches of recycled queue nodes.
+/// Free every node of a chain linked through `next`.
+///
+/// # Safety
+///
+/// The caller owns the whole chain exclusively, and every node in it came
+/// from `Box::into_raw`.
+unsafe fn free_chain<T>(mut node: *mut Node<T>) {
+    while !node.is_null() {
+        // SAFETY(drop-exclusive): the chain is exclusively owned (caller
+        // contract); each node is read once and freed once.
+        let next = unsafe { *(*node).next.get_mut() };
+        // SAFETY(drop-exclusive): as above — allocated by `Box::into_raw`.
+        unsafe { drop(Box::from_raw(node)) };
+        node = next;
+    }
+}
+
+/// Per-thread lists of recycled queue nodes plus the shared depot.
 ///
 /// Crate-private: the pool's `Send`/`Sync` are asserted unconditionally
 /// (see below) and are only sound because every access path is gated behind
 /// `TurnQueue`'s own `T: Send` bounds.
 pub(crate) struct NodePool<T> {
     slots: Box<[CachePadded<PoolSlot<T>>]>,
+    /// Null, or one chain of exactly `capacity` nodes handed over by a
+    /// thread whose list was full (module docs). Owned by whoever wins the
+    /// CAS that empties it.
+    depot: CachePadded<AtomicPtr<Node<T>>>,
     capacity: usize,
     /// Keep the item payload alive across release/acquire instead of
     /// dropping it on release. Off for per-item queues (a pooled node must
@@ -111,10 +157,11 @@ pub(crate) struct NodePool<T> {
 }
 
 // SAFETY(send-sync): slot `i` is only accessed by the thread registered at index `i`
-// (module-doc contract), except under exclusive access (`Drop`). The raw
-// node pointers may own `T` payloads, but the pool is only reachable
-// through `TurnQueue`/its variants, whose `Send`/`Sync` impls require
-// `T: Send`.
+// (module-doc contract), except under exclusive access (`Drop`); the depot
+// is an atomic whose chain belongs to the thread that wins the CAS emptying
+// it. The raw node pointers may own `T` payloads, but the pool is only
+// reachable through `TurnQueue`/its variants, whose `Send`/`Sync` impls
+// require `T: Send`.
 unsafe impl<T> Send for NodePool<T> {}
 unsafe impl<T> Sync for NodePool<T> {}
 
@@ -124,9 +171,10 @@ impl<T> NodePool<T> {
     pub(crate) fn new(max_threads: usize, capacity: usize) -> Self {
         NodePool {
             slots: (0..max_threads)
-                .map(|_| CachePadded::new(PoolSlot::with_capacity(capacity)))
+                .map(|_| CachePadded::new(PoolSlot::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
+            depot: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             capacity,
             retain_payload: false,
             telemetry: TelemetryHandle::disconnected(),
@@ -151,8 +199,9 @@ impl<T> NodePool<T> {
         self.capacity
     }
 
-    /// Pop a recycled node from the caller's free list, if any. O(1),
-    /// plain loads/stores only.
+    /// Pop a recycled node from the caller's free list, adopting the
+    /// depot's chain first if the list is empty. O(1): plain loads/stores
+    /// plus at most one depot load and one CAS.
     ///
     /// # Safety
     ///
@@ -163,27 +212,36 @@ impl<T> NodePool<T> {
         let slot = &self.slots[tid];
         // SAFETY(tid-exclusive): `tid` exclusivity (caller contract)
         // makes this the only access to the list.
-        let free = unsafe { &mut *slot.free.get() };
-        match free.pop() {
-            Some(ptr) => {
-                // ORDERING(pl.counter-mirror): RELAXED — owner-only gauge
-                // mirror of the free list's length; readers are racy by
-                // contract.
-                slot.len.store(free.len() as u64, ord::RELAXED);
-                bump(&slot.hits);
-                self.telemetry.event(tid, EventKind::PoolHit, 0);
-                Some(ptr)
-            }
-            None => {
+        let head = unsafe { &mut *slot.head.get() };
+        let len = if head.is_null() {
+            let Some(chain) = self.take_depot() else {
                 bump(&slot.misses);
                 self.telemetry.event(tid, EventKind::PoolMiss, 0);
-                None
-            }
-        }
+                return None;
+            };
+            *head = chain;
+            self.capacity as u64
+        } else {
+            // ORDERING(pl.counter-mirror): RELAXED — owner-only length;
+            // our own last store, exact by coherence.
+            slot.len.load(ord::RELAXED)
+        };
+        let node = *head;
+        // SAFETY(pool-owner): the node heads our own list (or the chain
+        // `take_depot` just handed us), so we own it exclusively and may
+        // read the link it carries while pooled.
+        *head = unsafe { *(*node).next.get_mut() };
+        // ORDERING(pl.counter-mirror): RELAXED — owner-only gauge mirror
+        // of the free list's length; readers are racy by contract.
+        slot.len.store(len - 1, ord::RELAXED);
+        bump(&slot.hits);
+        self.telemetry.event(tid, EventKind::PoolHit, 0);
+        Some(node)
     }
 
-    /// Take ownership of a reclaimed node: cache it in the `tid`'s free
-    /// list, or free it to the allocator if the list is full. O(1) aside
+    /// Take ownership of a reclaimed node: push it on `tid`'s free list,
+    /// first handing a full list to an empty depot, or free it to the
+    /// allocator if the list is full and the depot occupied. O(1) aside
     /// from dropping any stale item payload.
     ///
     /// # Safety
@@ -205,25 +263,80 @@ impl<T> NodePool<T> {
         }
         let slot = &self.slots[tid];
         // SAFETY(tid-exclusive): `tid` exclusivity (caller contract).
-        let free = unsafe { &mut *slot.free.get() };
-        if free.len() < self.capacity {
-            free.push(ptr);
-            // ORDERING(pl.counter-mirror): RELAXED — owner-only gauge
-            // mirror, as in acquire.
-            slot.len.store(free.len() as u64, ord::RELAXED);
-            bump(&slot.recycled);
-            self.telemetry.event(tid, EventKind::PoolRefill, 0);
-        } else {
-            bump(&slot.overflows);
-            // SAFETY(pool-owner): sole ownership; allocated by
-            // `Box::into_raw` — overflow bypasses the list back to the
-            // allocator.
-            unsafe { drop(Box::from_raw(ptr)) };
+        let head = unsafe { &mut *slot.head.get() };
+        // ORDERING(pl.counter-mirror): RELAXED — owner-only length, as in
+        // acquire.
+        let mut len = slot.len.load(ord::RELAXED);
+        if len as usize >= self.capacity {
+            if !self.deposit(*head) {
+                bump(&slot.overflows);
+                // SAFETY(pool-owner): sole ownership; allocated by
+                // `Box::into_raw` — overflow bypasses the list back to the
+                // allocator.
+                unsafe { drop(Box::from_raw(ptr)) };
+                return;
+            }
+            *head = ptr::null_mut();
+            len = 0;
         }
+        // SAFETY(pool-owner): sole ownership per the contract above; the
+        // scan proved the node unreachable, so its `next` is ours to reuse
+        // as the free-list link.
+        unsafe { *(*ptr).next.get_mut() = *head };
+        *head = ptr;
+        // ORDERING(pl.counter-mirror): RELAXED — owner-only gauge mirror,
+        // as in acquire.
+        slot.len.store(len + 1, ord::RELAXED);
+        bump(&slot.recycled);
+        self.telemetry.event(tid, EventKind::PoolRefill, 0);
     }
 
-    /// Aggregate counters over all per-thread slots. Safe to call from any
-    /// thread; the snapshot is racy but each counter is individually exact.
+    /// Hand a full list (`capacity` nodes) to the depot if it is empty.
+    /// One load and at most one CAS; `false` leaves the list with the
+    /// caller. Never touches the depot when recycling is off.
+    fn deposit(&self, chain: *mut Node<T>) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        // ORDERING(pl.depot-deposit): RELAXED — the peek only skips a CAS
+        // that would fail; the CAS below decides.
+        if !self.depot.load(ord::RELAXED).is_null() {
+            return false;
+        }
+        // ORDERING(pl.depot-deposit): RELEASE / RELAXED — publishes the
+        // chain's plain `next` links (and, in retain mode, its ring
+        // payloads) to the thread whose take CAS reads this value. A
+        // failed deposit hands nothing over. pairs=pl.depot-take
+        self.depot
+            .compare_exchange(ptr::null_mut(), chain, ord::RELEASE, ord::RELAXED)
+            .is_ok()
+    }
+
+    /// Empty the depot into the caller's hands if it holds a chain. One
+    /// load and at most one CAS; the chain's links are read only after the
+    /// CAS has won. Never touches the depot when recycling is off.
+    fn take_depot(&self) -> Option<*mut Node<T>> {
+        if self.capacity == 0 {
+            return None;
+        }
+        // ORDERING(pl.depot-take): RELAXED — the peek is a CAS candidate
+        // only; nothing behind it is read unless the CAS wins.
+        let chain = self.depot.load(ord::RELAXED);
+        if chain.is_null() {
+            return None;
+        }
+        // ORDERING(pl.depot-take): ACQUIRE / RELAXED — pairs with the
+        // deposit CAS's release, so the depositor's link writes happen
+        // before our plain reads of them. A lost race reads nothing.
+        // pairs=pl.depot-deposit
+        self.depot
+            .compare_exchange(chain, ptr::null_mut(), ord::ACQUIRE, ord::RELAXED)
+            .ok()
+    }
+
+    /// Aggregate counters over all per-thread slots and the depot. Safe to
+    /// call from any thread; the snapshot is racy but each counter is
+    /// individually exact.
     pub(crate) fn stats(&self) -> PoolStats {
         let mut s = PoolStats::default();
         for slot in self.slots.iter() {
@@ -236,26 +349,27 @@ impl<T> NodePool<T> {
             s.overflows += slot.overflows.load(ord::RELAXED);
             s.pooled_now += slot.len.load(ord::RELAXED);
         }
+        // ORDERING(pl.counter-mirror): RELAXED — racy gauge read, like the
+        // lengths above; a non-null depot holds exactly `capacity` nodes.
+        if !self.depot.load(ord::RELAXED).is_null() {
+            s.pooled_now += self.capacity as u64;
+        }
         s
     }
 }
 
 impl<T> Drop for NodePool<T> {
     fn drop(&mut self) {
-        // Exclusive access: free every cached node. `release` already
+        // Exclusive access: free every pooled node. `release` already
         // cleared item payloads (or, in retain mode, the node still owns
         // its ring payload and `Box::from_raw` drops it here).
-        for slot in self.slots.iter() {
-            // SAFETY(drop-exclusive): `&mut self` in Drop — exclusive
-            // access to every slot.
-            let free = unsafe { &mut *slot.free.get() };
-            for &ptr in free.iter() {
-                // SAFETY(drop-exclusive): the pool owns its cached nodes
-                // exclusively.
-                unsafe { drop(Box::from_raw(ptr)) };
-            }
-            free.clear();
+        for slot in self.slots.iter_mut() {
+            // SAFETY(drop-exclusive): `&mut self` in Drop — every list and
+            // the depot chain are ours alone.
+            unsafe { free_chain(*slot.head.get_mut()) };
         }
+        // SAFETY(drop-exclusive): as above.
+        unsafe { free_chain(*self.depot.get_mut()) };
     }
 }
 
@@ -313,12 +427,108 @@ mod tests {
     #[test]
     fn release_beyond_capacity_overflows_to_allocator() {
         let pool: NodePool<u64> = NodePool::new(1, 2);
+        // SAFETY: test-owned fresh nodes; this thread is the only user of the tid.
         for _ in 0..5 {
             unsafe { pool.release(0, Node::alloc(None, 0)) };
         }
+        // Releases 1–2 fill the list; release 3 hands the full list to the
+        // empty depot and starts a fresh one; release 4 refills it; release
+        // 5 finds the list full and the depot occupied, so it overflows.
         let s = pool.stats();
-        assert_eq!((s.recycled, s.overflows, s.pooled_now), (2, 3, 2));
-        // The two cached nodes are freed by NodePool::drop.
+        assert_eq!((s.recycled, s.overflows, s.pooled_now), (4, 1, 4));
+        // The list and the depot chain are freed by NodePool::drop.
+    }
+
+    #[test]
+    fn deposit_then_take_moves_exactly_capacity_nodes() {
+        const CAP: usize = 3;
+        let pool: NodePool<u64> = NodePool::new(2, CAP);
+        let nodes: Vec<*mut Node<u64>> = (0..=CAP).map(|_| Node::alloc(None, 0)).collect();
+        for &p in &nodes {
+            // SAFETY: test-owned fresh nodes; tid 0 is used only here.
+            unsafe { pool.release(0, p) };
+        }
+        // tid 0 kept the last node; its first CAP went to the depot.
+        let mut taken = Vec::new();
+        // SAFETY: single-threaded test; tid 1 is unshared.
+        while let Some(p) = unsafe { pool.acquire(1) } {
+            taken.push(p);
+        }
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (CAP as u64, 1), "tid 1 drained one chain");
+        assert_eq!(s.pooled_now, 1, "only tid 0's fresh list remains");
+        let mut expected = nodes[..CAP].to_vec();
+        expected.sort_unstable();
+        taken.sort_unstable();
+        assert_eq!(taken, expected, "the depot carried exactly the full list");
+        for p in taken {
+            // SAFETY: sole ownership — acquired above, freed exactly once.
+            unsafe { drop(Box::from_raw(p)) };
+        }
+    }
+
+    #[test]
+    fn second_deposit_while_depot_is_occupied_overflows() {
+        const CAP: usize = 2;
+        let pool: NodePool<u64> = NodePool::new(2, CAP);
+        for tid in 0..2 {
+            for _ in 0..=CAP {
+                // SAFETY: test-owned fresh nodes; each tid is used by this
+                // thread only.
+                unsafe { pool.release(tid, Node::alloc(None, 0)) };
+            }
+        }
+        // tid 0's full list took the empty depot; tid 1's could not, so
+        // its last node went to the allocator.
+        let s = pool.stats();
+        assert_eq!(s.overflows, 1);
+        assert_eq!(s.recycled, 2 * CAP as u64 + 1);
+        assert_eq!(s.pooled_now, 2 * CAP as u64 + 1, "tid 0's list, tid 1's list, depot");
+    }
+
+    #[test]
+    fn pooled_now_counts_the_depot() {
+        const CAP: usize = 4;
+        let pool: NodePool<u64> = NodePool::new(2, CAP);
+        for _ in 0..=CAP {
+            // SAFETY: test-owned fresh nodes; tid 0 is used only here.
+            unsafe { pool.release(0, Node::alloc(None, 0)) };
+        }
+        assert_eq!(pool.stats().pooled_now, CAP as u64 + 1, "one on the list, CAP in the depot");
+        // SAFETY: single-threaded test; tid 1 is unshared.
+        let p = unsafe { pool.acquire(1) }.expect("tid 1 adopts the depot chain");
+        assert_eq!(pool.stats().pooled_now, CAP as u64, "the chain now sits on tid 1's list");
+        // SAFETY: sole ownership — acquired above, freed exactly once.
+        unsafe { drop(Box::from_raw(p)) };
+    }
+
+    #[test]
+    fn drop_frees_the_depot_chain_dropping_each_retained_payload_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc as StdArc;
+
+        struct D(StdArc<AtomicUsize>);
+        impl Drop for D {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        const CAP: usize = 2;
+        const RELEASED: usize = 2 * CAP + 1;
+        let drops = StdArc::new(AtomicUsize::new(0));
+        let mut pool: NodePool<D> = NodePool::new(1, CAP);
+        pool.set_retain_payload(true);
+        for _ in 0..RELEASED {
+            let p = Node::alloc(Some(D(StdArc::clone(&drops))), 0);
+            // SAFETY: test-owned fresh node; this thread is the only user of the tid.
+            unsafe { pool.release(0, p) };
+        }
+        let s = pool.stats();
+        assert_eq!((s.overflows, s.pooled_now), (1, 2 * CAP as u64), "list + depot full");
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "only the overflowed payload dropped");
+        drop(pool);
+        assert_eq!(drops.load(Ordering::SeqCst), RELEASED, "every payload dropped exactly once");
     }
 
     #[test]

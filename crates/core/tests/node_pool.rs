@@ -10,6 +10,10 @@
 //!   multi-thread hammer checks exactly-once delivery under that pressure;
 //! * after warm-up, a single-threaded ping-pong runs entirely out of the
 //!   pool (hit rate ≈ 100%, zero misses).
+//! * with split roles, nodes travel from consumers to producers through
+//!   the pool's depot, so recycled nodes change threads while other threads
+//!   still race on the list — a 4-producer/4-consumer hammer checks
+//!   exactly-once delivery under that pressure.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -148,4 +152,57 @@ fn aba_hammer_eight_threads_delivers_exactly_once() {
     // only an ABA test if pointer values were reused).
     let s = q.pool_stats();
     assert!(s.hits > 0, "hammer never exercised recycling: {s:?}");
+}
+
+/// 4 dedicated producers × 4 dedicated consumers. Producers never retire a
+/// node, so every node a producer reuses was handed over through the
+/// depot by a consumer's scan: recycled addresses cross threads while the
+/// queue is live. The exactly-once check fails if a hand-over ever gave a
+/// chain to two threads or published a node before its links were settled.
+#[test]
+fn split_roles_four_by_four_deliver_exactly_once() {
+    const PRODUCERS: u64 = 4;
+    const CONSUMERS: usize = 4;
+    const PER_PRODUCER: u64 = 5_000;
+    const TOTAL: usize = (PRODUCERS * PER_PRODUCER) as usize;
+    let q: TurnQueue<u64> = TurnQueue::with_max_threads(PRODUCERS as usize + CONSUMERS);
+    let taken = AtomicUsize::new(0);
+    let mut all: Vec<u64> = std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let q = &q;
+            s.spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    q.enqueue(p << 32 | i);
+                }
+            });
+        }
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    while taken.load(Ordering::SeqCst) < TOTAL {
+                        match q.dequeue() {
+                            Some(v) => {
+                                got.push(v);
+                                taken.fetch_add(1, Ordering::SeqCst);
+                            }
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        consumers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    all.sort_unstable();
+    let expected: Vec<u64> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |i| p << 32 | i))
+        .collect();
+    assert_eq!(all, expected, "every item delivered exactly once");
+    let s = q.pool_stats();
+    assert!(s.hits > 0, "no node ever reached a producer through the depot: {s:?}");
 }

@@ -12,6 +12,10 @@
 //! * relaxed link read    → `race` (the *ordering-aware* detector: a
 //!   `Relaxed` load where the relaxed build needs `Acquire` drops the
 //!   happens-before edge; the acquire twin is the positive control).
+//! * relaxed depot take   → `race` (the node pool's list hand-over: a
+//!   take CAS that wins with `Relaxed` reads the depositor's plain links
+//!   with no happens-before edge; the acquire twin is the positive
+//!   control).
 
 use std::sync::Arc;
 use turn_queue::TurnQueue;
@@ -289,4 +293,86 @@ fn relaxed_link_read_mutant_is_a_race() {
 #[test]
 fn acquire_link_read_is_race_free() {
     explore_link_read(Ordering::Acquire).assert_clean();
+}
+
+/// The node pool's depot (`crates/core/src/pool.rs`) in miniature: a
+/// thread with a full free list writes the list's links plainly and hands
+/// the whole chain over with one `Release` CAS `null → head`; a thread
+/// with an empty list peeks with a `Relaxed` load, takes the chain with
+/// one CAS `head → null`, and only then walks the links plainly. Chains
+/// are node indices + 1 (0 = null).
+struct MiniDepot {
+    next: [UnsafeCell<usize>; 2],
+    depot: AtomicUsize,
+}
+
+// SAFETY: the test relies on the model-check scheduler serializing all
+// accesses; the missing edge in the mutant below is exactly what the
+// ordering-aware race detector must report.
+unsafe impl Sync for MiniDepot {}
+
+fn explore_depot_take(take_order: Ordering) -> turnq_modelcheck::Report {
+    let cfg = Config {
+        threads: 2,
+        budget: 200,
+        dfs_budget: 200,
+        step_bound: None,
+        ..Config::default()
+    };
+    explore(&cfg, move |_log| {
+        let pool = Arc::new(MiniDepot {
+            next: [UnsafeCell::new(0), UnsafeCell::new(0)],
+            depot: AtomicUsize::new(0),
+        });
+        let p0 = Arc::clone(&pool);
+        let p1 = pool;
+        Scenario {
+            bodies: vec![
+                Box::new(move || {
+                    // Depositor: link node 1 → node 2 → null, then hand
+                    // the chain over (the production deposit, intact).
+                    // SAFETY: serialized by the model-check scheduler.
+                    unsafe {
+                        *p0.next[0].get() = 2;
+                        *p0.next[1].get() = 0;
+                    }
+                    let _ = p0.depot.compare_exchange(0, 1, Ordering::Release, Ordering::Relaxed);
+                }),
+                Box::new(move || {
+                    // Taker: `take_order` is the mutation point. A win with
+                    // `Relaxed` (the mutant) creates no happens-before edge,
+                    // so the plain link reads race with the depositor's.
+                    let head = p1.depot.load(Ordering::Relaxed);
+                    if head != 0
+                        && p1
+                            .depot
+                            .compare_exchange(head, 0, take_order, Ordering::Relaxed)
+                            .is_ok()
+                    {
+                        let mut node = head;
+                        while node != 0 {
+                            // SAFETY: as above.
+                            node = unsafe { *p1.next[node - 1].get() };
+                        }
+                    }
+                }),
+            ],
+            post: None,
+        }
+    })
+}
+
+#[test]
+fn relaxed_depot_take_mutant_is_a_race() {
+    let report = explore_depot_take(Ordering::Relaxed);
+    if let Some(v) = &report.violation {
+        println!("relaxed depot take caught:\n{v}");
+    }
+    report.assert_caught("race");
+}
+
+/// Positive control: the `Acquire` take the pool actually uses is clean.
+#[test]
+fn acquire_depot_take_is_race_free() {
+    explore_depot_take(Ordering::Acquire).assert_clean();
 }

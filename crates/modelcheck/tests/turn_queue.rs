@@ -214,3 +214,91 @@ fn pool_aba_hammer() {
         turn_step_bound(2)
     );
 }
+
+/// Split roles: thread 0 only enqueues and thread 1 only dequeues, so the
+/// producer's free list can only be filled from the pool's depot, by a
+/// chain the consumer's scan handed over. With `pool_capacity(1)` one
+/// reclaimed node fills the consumer's list and the next one deposits it;
+/// `fast_tries(0)` keeps dequeues on the slow path, which also retires the
+/// request node, so two dequeues reclaim enough. Both the deposit and the
+/// producer's take then fall inside the explored prefix. The race
+/// detector checks that the depot CAS pair orders the consumer's plain
+/// link writes before the producer's plain reads and its `Node::reset`:
+/// with either CAS weakened to `Relaxed` in `pool.rs`, this test reports a
+/// race.
+///
+/// Thread 0 never retires (enqueues do not), so every pool hit is a node
+/// thread 0 took from the depot. The scheduler has no blocking, and its
+/// default schedule runs thread 0 to completion before thread 1 starts, so
+/// a hit cannot be required of every run; the test requires it of at
+/// least one explored run and counts them.
+#[test]
+fn split_role_handoff_through_the_depot() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let cfg = Config {
+        threads: 2,
+        budget: 3_000,
+        dfs_budget: 2_000,
+        step_bound: Some(turn_step_bound(2)),
+        ..Config::default()
+    };
+    let runs_with_handoff = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs_with_handoff);
+    let report = explore(&cfg, move |log| {
+        let q = Arc::new(
+            TurnQueue::<u64>::builder()
+                .max_threads(2)
+                .pool_capacity(1)
+                .fast_tries(0)
+                .build(),
+        );
+        let qp = Arc::clone(&q);
+        let q0 = Arc::clone(&q);
+        let q1 = q;
+        let l0 = log.clone();
+        let l1 = log;
+        let counter = Arc::clone(&counter);
+        Scenario {
+            bodies: vec![
+                Box::new(move || {
+                    let h = q0.handle().expect("registry slot");
+                    for v in 1..=6 {
+                        l0.enqueue(0, v, || h.enqueue(v));
+                    }
+                }),
+                Box::new(move || {
+                    let h = q1.handle().expect("registry slot");
+                    for _ in 0..2 {
+                        l1.dequeue(1, || h.dequeue());
+                    }
+                }),
+            ],
+            post: Some(Box::new(move || {
+                let stats = qp.pool_stats();
+                if stats.hits > stats.recycled {
+                    return Err(format!(
+                        "pool served {} hits from only {} recycled nodes",
+                        stats.hits, stats.recycled
+                    ));
+                }
+                if stats.hits > 0 {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                drop(qp);
+                Ok(())
+            })),
+        }
+    });
+    report.assert_clean();
+    let handoffs = runs_with_handoff.load(Ordering::Relaxed);
+    println!(
+        "split-role handoff: executed={} runs_with_producer_hit={handoffs} \
+         max_enqueue_steps={} max_dequeue_steps={} bound={}",
+        report.executed,
+        report.max_enqueue_steps,
+        report.max_dequeue_steps,
+        turn_step_bound(2)
+    );
+    assert!(handoffs > 0, "no explored run handed a chain to the producer");
+}

@@ -17,8 +17,8 @@
 //!
 //! ## The latency block: allocated by the thread that records
 //!
-//! A row's counters, depth histogram and event ring are small and built
-//! with the sheet. Its latency histograms are not: `N_OP_KEYS` series of
+//! A row's counters and depth histogram are small and built with the
+//! sheet. Its latency histograms are not: `N_OP_KEYS` series of
 //! `LAT_STATS + LAT_BUCKETS` cells come to 64 KiB, most of an empty
 //! queue's footprint if every slot carried them. So they live in one
 //! fixed-size block behind an `AtomicPtr` per row. The owning thread
@@ -33,6 +33,10 @@
 //! a thread's block on that thread's first timed operation in the lane.)
 //! Readers load the pointer with `Acquire` and skip rows with no block;
 //! the block is never moved and is freed only when the row drops.
+//!
+//! The event ring (1 KiB) follows the same rule with a block of its own,
+//! published by the row's first event, so a slot no thread ever claims
+//! costs only its counters and depth histogram.
 
 #[cfg(feature = "probe")]
 use crossbeam_utils::CachePadded;
@@ -71,6 +75,10 @@ const LAT_SERIES: usize = LAT_STATS + LAT_BUCKETS;
 #[cfg(feature = "probe")]
 type LatBlock = [AtomicU64; N_OP_KEYS * LAT_SERIES];
 
+/// One row's flight-recorder ring (packed events, see `events.rs`).
+#[cfg(feature = "probe")]
+type RingBlock = [AtomicU64; RING_CAPACITY];
+
 /// Heap bytes of one row's latency block, allocated by the first sampled
 /// operation of the thread that owns the row.
 pub const LATENCY_BLOCK_BYTES: usize = N_OP_KEYS * LAT_SERIES * std::mem::size_of::<u64>();
@@ -97,8 +105,9 @@ struct ThreadRow {
     /// buckets: a plain boxed slice would share a line with the next
     /// row's, which is allocated right after it.
     depth: Box<[CachePadded<[AtomicU64; DEPTH_CHUNK]>]>,
-    /// Flight-recorder ring (packed events, see `events.rs`).
-    ring: [AtomicU64; RING_CAPACITY],
+    /// Flight-recorder ring: null until the owner's first event publishes
+    /// a `Box<RingBlock>`, owned like `lat` (module docs).
+    ring: AtomicPtr<RingBlock>,
     /// Total events ever recorded by this thread; the next write goes to
     /// `ring[ring_pos % RING_CAPACITY]`.
     ring_pos: AtomicU64,
@@ -116,7 +125,7 @@ impl ThreadRow {
             depth: (0..depth_buckets.div_ceil(DEPTH_CHUNK))
                 .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
-            ring: std::array::from_fn(|_| AtomicU64::new(0)),
+            ring: AtomicPtr::new(std::ptr::null_mut()),
             ring_pos: AtomicU64::new(0),
             lat: AtomicPtr::new(std::ptr::null_mut()),
         }
@@ -133,62 +142,91 @@ impl ThreadRow {
     /// stored the pointer itself or inherited the row through the
     /// registry's release/claim (or a lock's) happens-before edge.
     #[inline(always)]
-    #[allow(unsafe_code)]
     fn own_lat(&self) -> &LatBlock {
-        let mut block = self.lat.load(Ordering::Relaxed);
-        if block.is_null() {
-            block = publish_lat_block(&self.lat);
-        }
-        // SAFETY(tid-exclusive): non-null, so the row's owner (this
-        // thread, or the one it inherited the row from) published a live
-        // `Box<LatBlock>`; it is never moved and is freed only when the
-        // row drops, which `&self` outlives.
-        unsafe { &*block }
+        own_block(&self.lat, |i| if i % LAT_SERIES == LAT_MIN { u64::MAX } else { 0 })
     }
 
     /// Aggregator side: the published latency block, if any.
-    #[allow(unsafe_code)]
     fn published_lat(&self) -> Option<&LatBlock> {
-        let block = self.lat.load(Ordering::Acquire);
-        // SAFETY(publish-once): this `Acquire` load pairs with the
-        // `Release` store in `publish_lat_block`, so a non-null pointer's
-        // initialised block is visible; it is never moved and is freed
-        // only when the row drops, which `&self` outlives.
-        unsafe { block.as_ref() }
+        published_block(&self.lat)
     }
+
+    /// Owner only: this row's event ring, published on the first call
+    /// (same argument as [`own_lat`](Self::own_lat)).
+    #[inline(always)]
+    fn own_ring(&self) -> &RingBlock {
+        own_block(&self.ring, |_| 0)
+    }
+
+    /// Reader side: the published event ring, if any.
+    fn published_ring(&self) -> Option<&RingBlock> {
+        published_block(&self.ring)
+    }
+}
+
+/// Owner side of a lazily published row block: the block in `slot`,
+/// allocated (cell `i` set to `init(i)`) and published on the first call.
+#[cfg(feature = "probe")]
+#[inline(always)]
+#[allow(unsafe_code)]
+fn own_block<const N: usize>(
+    slot: &AtomicPtr<[AtomicU64; N]>,
+    init: impl Fn(usize) -> u64,
+) -> &[AtomicU64; N] {
+    let mut block = slot.load(Ordering::Relaxed);
+    if block.is_null() {
+        block = publish_block(slot, init);
+    }
+    // SAFETY(tid-exclusive): non-null, so the row's owner (this thread,
+    // or the one it inherited the row from) published a live boxed
+    // block; it is never moved and is freed only when the row drops,
+    // which the borrow of `slot` outlives.
+    unsafe { &*block }
+}
+
+/// Reader side of a lazily published row block.
+#[cfg(feature = "probe")]
+#[allow(unsafe_code)]
+fn published_block<const N: usize>(slot: &AtomicPtr<[AtomicU64; N]>) -> Option<&[AtomicU64; N]> {
+    let block = slot.load(Ordering::Acquire);
+    // SAFETY(publish-once): this `Acquire` load pairs with the `Release`
+    // store in `publish_block`, so a non-null pointer's initialised block
+    // is visible; it is never moved and is freed only when the row drops,
+    // which the borrow of `slot` outlives.
+    unsafe { block.as_ref() }
 }
 
 #[cfg(feature = "probe")]
 impl Drop for ThreadRow {
     #[allow(unsafe_code)]
     fn drop(&mut self) {
-        let block = *self.lat.get_mut();
-        if !block.is_null() {
+        let lat = *self.lat.get_mut();
+        if !lat.is_null() {
             // SAFETY(drop-exclusive): `&mut self` — no reference into the
             // block survives, and it came from `Box::into_raw` in
-            // `publish_lat_block`, once.
-            drop(unsafe { Box::from_raw(block) });
+            // `publish_block`, once.
+            drop(unsafe { Box::from_raw(lat) });
+        }
+        let ring = *self.ring.get_mut();
+        if !ring.is_null() {
+            // SAFETY(drop-exclusive): as above.
+            drop(unsafe { Box::from_raw(ring) });
         }
     }
 }
 
-/// Allocate a row's latency block (every `min` cell at `u64::MAX`, the
-/// rest 0) and publish it into `slot` with one `Release` store. Called
-/// once per row, by its owner, on its first sample.
+/// Allocate a row block (cell `i` set to `init(i)`) and publish it into
+/// `slot` with one `Release` store. Called once per block and row, by the
+/// row's owner, on its first sample (latency) or event (ring).
 #[cfg(feature = "probe")]
 #[cold]
 #[inline(never)]
-fn publish_lat_block(slot: &AtomicPtr<LatBlock>) -> *mut LatBlock {
-    let cells: Box<[AtomicU64]> = (0..N_OP_KEYS * LAT_SERIES)
-        .map(|i| {
-            AtomicU64::new(if i % LAT_SERIES == LAT_MIN {
-                u64::MAX
-            } else {
-                0
-            })
-        })
-        .collect();
-    let block: Box<LatBlock> = cells
+fn publish_block<const N: usize>(
+    slot: &AtomicPtr<[AtomicU64; N]>,
+    init: impl Fn(usize) -> u64,
+) -> *mut [AtomicU64; N] {
+    let cells: Box<[AtomicU64]> = (0..N).map(|i| AtomicU64::new(init(i))).collect();
+    let block: Box<[AtomicU64; N]> = cells
         .try_into()
         .unwrap_or_else(|_| unreachable!("the block is collected at its exact length"));
     let block = Box::into_raw(block);
@@ -346,7 +384,7 @@ impl TelemetrySheet {
         {
             let row = &self.rows[tid];
             let pos = row.ring_pos.load(Ordering::Relaxed);
-            row.ring[(pos as usize) % RING_CAPACITY].store(pack(kind, arg), Ordering::Relaxed);
+            row.own_ring()[(pos as usize) % RING_CAPACITY].store(pack(kind, arg), Ordering::Relaxed);
             row.ring_pos.store(pos + 1, Ordering::Relaxed);
         }
     }
@@ -361,12 +399,15 @@ impl TelemetrySheet {
         #[cfg(feature = "probe")]
         {
             let row = &self.rows[tid];
+            let Some(ring) = row.published_ring() else {
+                return Vec::new();
+            };
             let pos = row.ring_pos.load(Ordering::Relaxed);
             let live = (pos as usize).min(RING_CAPACITY);
             let mut out = Vec::with_capacity(live);
             for i in 0..live {
                 let slot = (pos as usize - live + i) % RING_CAPACITY;
-                if let Some(ev) = unpack(row.ring[slot].load(Ordering::Relaxed)) {
+                if let Some(ev) = unpack(ring[slot].load(Ordering::Relaxed)) {
                     out.push(ev);
                 }
             }
@@ -420,7 +461,9 @@ impl TelemetrySheet {
     }
 
     /// Number of rows whose latency block has been published: the sheet's
-    /// heap beyond its construction is this many [`LATENCY_BLOCK_BYTES`].
+    /// heap beyond its construction is this many [`LATENCY_BLOCK_BYTES`],
+    /// plus one `RING_CAPACITY`-word event ring per row that recorded an
+    /// event.
     /// Always 0 with `probe` off.
     pub fn latency_blocks(&self) -> usize {
         #[cfg(feature = "probe")]
