@@ -483,7 +483,7 @@ fn variant_json(
         stall_reports.len(),
     );
     let mut first = true;
-    for series in snap.latency_series() {
+    for (key, series) in snap.latency_series() {
         if series.count() == 0 {
             continue;
         }
@@ -495,7 +495,7 @@ fn variant_json(
             out,
             "\"{}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
              \"p9999\": {}, \"max\": {}}}",
-            series.key().name(),
+            key.name(),
             series.count(),
             series.quantile(0.5).unwrap_or(0),
             series.quantile(0.99).unwrap_or(0),

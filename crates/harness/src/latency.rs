@@ -6,7 +6,9 @@
 //! clock. Warmup bursts are executed but not recorded. At the end the
 //! per-thread arrays are aggregated, sorted, and the paper's six quantiles
 //! extracted; across runs the per-quantile min–max (Table 3) or median
-//! (Figure 1) is reported.
+//! (Figure 1) is reported. For paper-scale sample counts the same loop can
+//! record into constant-memory histograms instead
+//! ([`measure_latency_hist`]).
 //!
 //! As in the paper, **no artificial delay** is inserted between operations:
 //! "we wanted to show that the tail latency on a lock-free queue is
@@ -19,9 +21,10 @@ use std::time::Instant;
 use turnq_api::{ConcurrentQueue, QueueFamily};
 
 use crate::config::Scale;
-use crate::histogram::LatencyHistogram;
+use turnq_telemetry::LatencySeries;
+
 use crate::kinds::QueueKind;
-use crate::stats::{median, paper_quantiles};
+use crate::stats::{median, paper_quantiles, PAPER_QUANTILES};
 use crate::with_queue_family;
 
 /// Emulate the 50-100ns of "work" prior studies insert between queue
@@ -70,18 +73,76 @@ fn median_per_quantile(runs: &[[u64; 6]]) -> [u64; 6] {
     out
 }
 
-/// Run the full latency protocol (`scale.runs` runs) for one queue.
+/// Run the full latency protocol (`scale.runs` runs) for one queue,
+/// keeping every sample as the paper does.
 pub fn measure_latency(kind: QueueKind, scale: &Scale) -> LatencyRuns {
-    with_queue_family!(kind, F => measure_latency_generic::<F>(scale))
+    with_queue_family!(kind, F => measure::<F, Vec<u64>>(scale))
 }
 
-fn measure_latency_generic<F: QueueFamily>(scale: &Scale) -> LatencyRuns {
+/// [`measure_latency`] for paper-scale sample counts: each thread records
+/// into a [`LatencySeries`] at [`HIST_SUB_BUCKET_BITS`], so memory stays
+/// constant (~32 KiB per thread and operation) instead of 8 bytes per
+/// sample (1.6 GB at the paper's 2x10^8 samples). Quantiles under-report
+/// by at most one bucket (~1.6 % relative).
+pub fn measure_latency_hist(kind: QueueKind, scale: &Scale) -> LatencyRuns {
+    with_queue_family!(kind, F => measure::<F, LatencySeries>(scale))
+}
+
+/// Resolution of [`measure_latency_hist`]: `2^6` linear sub-buckets per
+/// power-of-two range, ≤ 1/64 ≈ 1.6 % relative error.
+pub const HIST_SUB_BUCKET_BITS: u32 = 6;
+
+/// What one thread of a run records its timed operations into.
+trait Samples: Send + Sized {
+    /// An empty record for a thread that will time `ops` operations.
+    fn for_ops(ops: usize) -> Self;
+    fn record(&mut self, nanos: u64);
+    /// Aggregate every thread's record into the paper's six quantiles.
+    fn paper_quantiles(threads: Vec<Self>) -> [u64; 6];
+}
+
+/// The paper's procedure: "the arrays of all threads are aggregated into
+/// a single array for the enqueues and a single array for the dequeues"
+/// (§4.1), then sorted.
+impl Samples for Vec<u64> {
+    fn for_ops(ops: usize) -> Self {
+        Vec::with_capacity(ops)
+    }
+
+    fn record(&mut self, nanos: u64) {
+        self.push(nanos);
+    }
+
+    fn paper_quantiles(threads: Vec<Self>) -> [u64; 6] {
+        paper_quantiles(&mut threads.concat())
+    }
+}
+
+impl Samples for LatencySeries {
+    fn for_ops(_: usize) -> Self {
+        LatencySeries::new(HIST_SUB_BUCKET_BITS)
+    }
+
+    fn record(&mut self, nanos: u64) {
+        LatencySeries::record(self, nanos);
+    }
+
+    fn paper_quantiles(threads: Vec<Self>) -> [u64; 6] {
+        let mut all = LatencySeries::new(HIST_SUB_BUCKET_BITS);
+        for t in &threads {
+            all.merge(t);
+        }
+        PAPER_QUANTILES.map(|q| all.quantile(q).expect("a run times at least one operation"))
+    }
+}
+
+fn measure<F: QueueFamily, S: Samples>(scale: &Scale) -> LatencyRuns {
     let mut enq_runs = Vec::with_capacity(scale.runs);
     let mut deq_runs = Vec::with_capacity(scale.runs);
     for _ in 0..scale.runs {
-        let (mut enq, mut deq) = one_run::<F>(scale);
-        enq_runs.push(paper_quantiles(&mut enq));
-        deq_runs.push(paper_quantiles(&mut deq));
+        let (enq, deq) = one_run::<F, S>(scale);
+        enq_runs.push(S::paper_quantiles(enq));
+        deq_runs.push(S::paper_quantiles(deq));
     }
     LatencyRuns {
         enqueue: enq_runs,
@@ -89,15 +150,15 @@ fn measure_latency_generic<F: QueueFamily>(scale: &Scale) -> LatencyRuns {
     }
 }
 
-/// One run: returns raw per-op samples (ns) for enqueue and dequeue.
-fn one_run<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
+/// One run: every thread's enqueue and dequeue records (ns per op).
+fn one_run<F: QueueFamily, S: Samples>(scale: &Scale) -> (Vec<S>, Vec<S>) {
     let threads = scale.threads;
     let per_thread = (scale.burst_items / threads).max(1);
     let queue = F::with_max_threads::<u64>(threads);
     let barrier = Barrier::new(threads);
     let total_bursts = scale.warmup + scale.bursts;
 
-    let per_thread_samples: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let queue = &queue;
@@ -106,8 +167,8 @@ fn one_run<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
                     // "Each thread will pre-allocate two arrays … where the
                     // measurement of the delays of the individual calls …
                     // are stored" (§4.1).
-                    let mut enq_samples = Vec::with_capacity(scale.bursts * per_thread);
-                    let mut deq_samples = Vec::with_capacity(scale.bursts * per_thread);
+                    let mut enq_samples = S::for_ops(scale.bursts * per_thread);
+                    let mut deq_samples = S::for_ops(scale.bursts * per_thread);
                     for burst in 0..total_bursts {
                         let measured = burst >= scale.warmup;
                         barrier.wait();
@@ -117,7 +178,7 @@ fn one_run<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
                             queue.enqueue(value);
                             let dt = t0.elapsed().as_nanos() as u64;
                             if measured {
-                                enq_samples.push(dt);
+                                enq_samples.record(dt);
                             }
                             artificial_work(scale.work_spins, i as u64);
                         }
@@ -133,7 +194,7 @@ fn one_run<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
                             // correctness bug, not an expected outcome.
                             assert!(got.is_some(), "burst protocol lost an item");
                             if measured {
-                                deq_samples.push(dt);
+                                deq_samples.record(dt);
                             }
                             artificial_work(scale.work_spins, dt);
                         }
@@ -142,101 +203,8 @@ fn one_run<F: QueueFamily>(scale: &Scale) -> (Vec<u64>, Vec<u64>) {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // "the arrays of all threads are aggregated into a single array for the
-    // enqueues and a single array for the dequeues" (§4.1).
-    let mut enq_all = Vec::with_capacity(threads * scale.bursts * per_thread);
-    let mut deq_all = Vec::with_capacity(threads * scale.bursts * per_thread);
-    for (e, d) in per_thread_samples {
-        enq_all.extend(e);
-        deq_all.extend(d);
-    }
-    (enq_all, deq_all)
-}
-
-/// Histogram-backed variant of [`measure_latency`] for paper-scale sample
-/// counts: memory stays constant (~32 KiB/thread) instead of 8 bytes per
-/// sample (1.6 GB at the paper's 2x10^8 samples). Quantiles under-report
-/// by at most one histogram bucket (~1.6% relative), which the histogram
-/// module's property tests bound.
-pub fn measure_latency_hist(kind: QueueKind, scale: &Scale) -> LatencyRuns {
-    with_queue_family!(kind, F => measure_latency_hist_generic::<F>(scale))
-}
-
-fn measure_latency_hist_generic<F: QueueFamily>(scale: &Scale) -> LatencyRuns {
-    let mut enq_runs = Vec::with_capacity(scale.runs);
-    let mut deq_runs = Vec::with_capacity(scale.runs);
-    for _ in 0..scale.runs {
-        let (enq, deq) = one_run_hist::<F>(scale);
-        enq_runs.push(enq.paper_quantiles());
-        deq_runs.push(deq.paper_quantiles());
-    }
-    LatencyRuns {
-        enqueue: enq_runs,
-        dequeue: deq_runs,
-    }
-}
-
-/// One run of the burst protocol accumulating into per-thread histograms,
-/// merged at the end.
-fn one_run_hist<F: QueueFamily>(scale: &Scale) -> (LatencyHistogram, LatencyHistogram) {
-    let threads = scale.threads;
-    let per_thread = (scale.burst_items / threads).max(1);
-    let queue = F::with_max_threads::<u64>(threads);
-    let barrier = Barrier::new(threads);
-    let total_bursts = scale.warmup + scale.bursts;
-
-    let per_thread_hists: Vec<(LatencyHistogram, LatencyHistogram)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let queue = &queue;
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut enq_hist = LatencyHistogram::with_default_resolution();
-                        let mut deq_hist = LatencyHistogram::with_default_resolution();
-                        for burst in 0..total_bursts {
-                            let measured = burst >= scale.warmup;
-                            barrier.wait();
-                            for i in 0..per_thread {
-                                let value =
-                                    ((t * per_thread + i) as u64) | ((burst as u64) << 32);
-                                let t0 = Instant::now();
-                                queue.enqueue(value);
-                                let dt = t0.elapsed().as_nanos() as u64;
-                                if measured {
-                                    enq_hist.record(dt);
-                                }
-                                artificial_work(scale.work_spins, i as u64);
-                            }
-                            barrier.wait();
-                            for _ in 0..per_thread {
-                                let t0 = Instant::now();
-                                let got = queue.dequeue();
-                                let dt = t0.elapsed().as_nanos() as u64;
-                                assert!(got.is_some(), "burst protocol lost an item");
-                                if measured {
-                                    deq_hist.record(dt);
-                                }
-                                artificial_work(scale.work_spins, dt);
-                            }
-                        }
-                        (enq_hist, deq_hist)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-    let mut enq_all = LatencyHistogram::with_default_resolution();
-    let mut deq_all = LatencyHistogram::with_default_resolution();
-    for (e, d) in &per_thread_hists {
-        enq_all.merge(e);
-        deq_all.merge(d);
-    }
-    (enq_all, deq_all)
+        handles.into_iter().map(|h| h.join().unwrap()).unzip()
+    })
 }
 
 /// Figure 1: the latency quantiles as a function of the number of

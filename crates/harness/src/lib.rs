@@ -18,7 +18,6 @@
 //! math), and [`tables`] (report rendering).
 
 pub mod config;
-pub mod histogram;
 pub mod kinds;
 pub mod latency;
 pub mod memusage;
@@ -29,6 +28,5 @@ pub mod throughput;
 
 pub use config::{Args, Scale};
 pub use kinds::QueueKind;
-pub use histogram::LatencyHistogram;
 pub use memusage::CountingAllocator;
 pub use tables::Table;

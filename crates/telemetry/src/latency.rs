@@ -1,18 +1,18 @@
 //! In-queue latency attribution: shared log-linear bucket math, the
 //! operation × path-class key space, and the probe-gated [`OpTimer`].
 //!
-//! ## Shared bucket math
+//! ## Bucket math
 //!
-//! The harness already owns a log-linear histogram
-//! (`crates/harness/src/histogram.rs`) for *external* latency
-//! measurement. The sheet-resident histograms here must bucket
-//! identically — otherwise in-queue and harness quantiles would disagree
-//! by more than bucket width — so the pure index/inverse functions live
-//! in this module and the harness delegates to them. Buckets are linear
-//! within a power-of-two range and geometric across ranges: range 0
-//! covers `[0, 2^b)` with width-1 buckets (exact), range `r ≥ 1` covers
-//! `[2^(b+r-1), 2^(b+r))` with `2^b` buckets of width `2^(r-1)` —
-//! bounded relative error `2^-b` per value, and a saturating top bucket.
+//! The sheet-resident histograms and [`LatencySeries`] (the one latency
+//! distribution type, which snapshots and the harness's §4.1 procedure
+//! both aggregate into) index and invert through the pure functions
+//! here. Buckets are linear within a power-of-two range and geometric
+//! across ranges: range 0 covers `[0, 2^b)` with width-1 buckets
+//! (exact), range `r ≥ 1` covers `[2^(b+r-1), 2^(b+r))` with `2^b`
+//! buckets of width `2^(r-1)` — bounded relative error `2^-b` per value,
+//! and a saturating top bucket.
+//!
+//! [`LatencySeries`]: crate::LatencySeries
 //!
 //! ## Path classes
 //!
@@ -54,7 +54,7 @@ pub const RANGES: usize = 64;
 /// Resolution of the sheet-resident histograms: `2^4 = 16` linear
 /// sub-buckets per range, ≤ 6.25 % relative error, in one block per
 /// recording thread ([`LATENCY_BLOCK_BYTES`](crate::LATENCY_BLOCK_BYTES)).
-/// The harness default (6 bits) is finer; both use the same
+/// The harness's §4.1 procedure records at 6 bits, with the same
 /// [`bucket_index`]/[`bucket_low`] math.
 pub const SHEET_SUB_BUCKET_BITS: u32 = 4;
 

@@ -10,7 +10,9 @@
 use std::fmt::Write as _;
 
 use crate::counters::CounterId;
-use crate::latency::{bucket_high, bucket_low, OpKey, SHEET_SUB_BUCKET_BITS};
+use crate::latency::{
+    bucket_count, bucket_high, bucket_index, bucket_low, OpKey, SHEET_SUB_BUCKET_BITS,
+};
 
 /// Counter names that exist only at snapshot level (folded in from the
 /// node pool's own exact per-slot stats rather than double-counted on the
@@ -54,24 +56,40 @@ pub fn all_metric_names() -> Vec<String> {
     out
 }
 
-/// One aggregated latency series: operation × path class, log-linear
-/// buckets at the sheet resolution ([`SHEET_SUB_BUCKET_BITS`]).
+/// One latency distribution: log-linear buckets (the shared
+/// [`bucket_index`] math) at a resolution fixed at construction, plus the
+/// exact count, sum, minimum and maximum.
+///
+/// A snapshot holds one per operation × path class at the sheet
+/// resolution ([`SHEET_SUB_BUCKET_BITS`]); the harness's §4.1 burst
+/// procedure records into finer ones. Recording is one bucket increment
+/// plus the four stats. The buckets are a dense array allocated by the
+/// first sample, so an empty series owns no heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySeries {
-    key: OpKey,
+    sub_bucket_bits: u32,
     count: u64,
     sum: u64,
     max: u64,
     /// `u64::MAX` while empty (first sample always wins).
     min: u64,
-    /// Sparse nonzero buckets, ascending by flat index.
-    buckets: Vec<(usize, u64)>,
+    /// Per-bucket counts indexed by [`bucket_index`]; empty until the
+    /// first sample.
+    buckets: Vec<u64>,
 }
 
 impl LatencySeries {
-    fn empty(key: OpKey) -> Self {
+    /// An empty series with `2^sub_bucket_bits` linear sub-buckets per
+    /// power-of-two range: a quantile under-reports by at most
+    /// `2^-sub_bucket_bits` of its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sub_bucket_bits` is in `1..=16`.
+    pub fn new(sub_bucket_bits: u32) -> Self {
+        let _ = bucket_count(sub_bucket_bits); // panics outside 1..=16
         LatencySeries {
-            key,
+            sub_bucket_bits,
             count: 0,
             sum: 0,
             max: 0,
@@ -80,9 +98,37 @@ impl LatencySeries {
         }
     }
 
-    /// Which operation × path series this is.
-    pub fn key(&self) -> OpKey {
-        self.key
+    /// Linear sub-buckets per power-of-two range, as a power of two.
+    pub fn sub_bucket_bits(&self) -> u32 {
+        self.sub_bucket_bits
+    }
+
+    /// Record one sample (nanoseconds).
+    #[inline]
+    pub fn record(&mut self, nanos: u64) {
+        self.add_bucket(bucket_index(self.sub_bucket_bits, nanos), 1);
+        self.add_stats(1, nanos, nanos, nanos);
+    }
+
+    /// Fold `other` into `self`: the result equals one series that
+    /// recorded both sample sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two series differ in resolution.
+    pub fn merge(&mut self, other: &LatencySeries) {
+        assert_eq!(
+            self.sub_bucket_bits, other.sub_bucket_bits,
+            "cannot merge latency series of different resolution"
+        );
+        self.add_stats(other.count, other.sum, other.max, other.min);
+        if self.buckets.is_empty() {
+            self.buckets.clone_from(&other.buckets);
+        } else {
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
+        }
     }
 
     /// Number of recorded samples.
@@ -90,7 +136,7 @@ impl LatencySeries {
         self.count
     }
 
-    /// Sum of all samples (nanoseconds).
+    /// Sum of all samples (nanoseconds, saturating).
     pub fn sum(&self) -> u64 {
         self.sum
     }
@@ -114,10 +160,11 @@ impl LatencySeries {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Nearest-rank quantile, reported as the lower bound of the bucket
-    /// containing that rank clamped to the exact `[min, max]` — the same
-    /// semantics as the harness histogram, so it never over-reports.
-    /// `None` when the series is empty.
+    /// Nearest-rank quantile, the same rank rule as an exact sort of the
+    /// samples, reported as the lower bound of the bucket containing that
+    /// rank clamped to the exact `[min, max]`: it never over-reports, and
+    /// `q = 0` and `q = 1` are the exact extremes. `None` when the series
+    /// is empty.
     ///
     /// # Panics
     ///
@@ -133,36 +180,32 @@ impl LatencySeries {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for &(idx, n) in &self.buckets {
+        for (idx, n) in self.nonzero_buckets() {
             seen += n;
             if seen >= rank {
-                return Some(
-                    bucket_low(SHEET_SUB_BUCKET_BITS, idx).clamp(self.min(), self.max),
-                );
+                return Some(bucket_low(self.sub_bucket_bits, idx).clamp(self.min(), self.max));
             }
         }
         Some(self.max)
     }
 
+    /// `(flat index, count)` of every nonzero bucket, ascending.
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(i, &n)| (i, n))
+    }
+
     fn add_bucket(&mut self, idx: usize, n: u64) {
-        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => self.buckets[pos].1 += n,
-            Err(pos) => self.buckets.insert(pos, (idx, n)),
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; bucket_count(self.sub_bucket_bits)];
         }
+        self.buckets[idx] += n;
     }
 
     fn add_stats(&mut self, count: u64, sum: u64, max: u64, min: u64) {
         self.count += count;
-        self.sum += sum;
+        self.sum = self.sum.saturating_add(sum);
         self.max = self.max.max(max);
         self.min = self.min.min(min);
-    }
-
-    fn merge(&mut self, other: &LatencySeries) {
-        self.add_stats(other.count, other.sum, other.max, other.min);
-        for &(idx, n) in &other.buckets {
-            self.add_bucket(idx, n);
-        }
     }
 }
 
@@ -193,7 +236,10 @@ impl TelemetrySnapshot {
             gauges: Vec::new(),
             lane_gauges: Vec::new(),
             helping_depth: vec![0; depth_buckets],
-            latency: OpKey::ALL.iter().map(|&k| LatencySeries::empty(k)).collect(),
+            latency: OpKey::ALL
+                .iter()
+                .map(|_| LatencySeries::new(SHEET_SUB_BUCKET_BITS))
+                .collect(),
         }
     }
 
@@ -283,9 +329,9 @@ impl TelemetrySnapshot {
         &self.latency[key as usize]
     }
 
-    /// Every latency series, in [`OpKey::ALL`] order.
-    pub fn latency_series(&self) -> &[LatencySeries] {
-        &self.latency
+    /// Every latency series with its key, in [`OpKey::ALL`] order.
+    pub fn latency_series(&self) -> impl Iterator<Item = (OpKey, &LatencySeries)> + '_ {
+        OpKey::ALL.into_iter().zip(&self.latency)
     }
 
     /// Total latency samples across every series (equals completed
@@ -360,8 +406,8 @@ impl TelemetrySnapshot {
                 self.add_depth_bucket(d, n);
             }
         }
-        for series in &other.latency {
-            self.latency[series.key as usize].merge(series);
+        for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
+            mine.merge(theirs);
         }
     }
 
@@ -407,15 +453,15 @@ impl TelemetrySnapshot {
         let _ = writeln!(out, "turnq_helping_depth_sum {sum}");
         let _ = writeln!(out, "turnq_helping_depth_count {cum}");
         let _ = writeln!(out, "# TYPE turnq_op_latency_ns histogram");
-        for series in &self.latency {
+        for (key, series) in self.latency_series() {
             if series.count == 0 {
                 continue;
             }
-            let labels = format!("op=\"{}\",path=\"{}\"", series.key.op(), series.key.path());
+            let labels = format!("op=\"{}\",path=\"{}\"", key.op(), key.path());
             let mut cum = 0u64;
-            for &(idx, n) in &series.buckets {
+            for (idx, n) in series.nonzero_buckets() {
                 cum += n;
-                let le = bucket_high(SHEET_SUB_BUCKET_BITS, idx);
+                let le = bucket_high(series.sub_bucket_bits, idx);
                 let _ = writeln!(out, "turnq_op_latency_ns_bucket{{{labels},le=\"{le}\"}} {cum}");
             }
             let _ = writeln!(out, "turnq_op_latency_ns_bucket{{{labels},le=\"+Inf\"}} {cum}");
@@ -474,7 +520,7 @@ impl TelemetrySnapshot {
             let _ = write!(out, "{n}");
         }
         out.push_str("],\"latency\":{");
-        for (i, series) in self.latency.iter().enumerate() {
+        for (i, (key, series)) in self.latency_series().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -483,7 +529,7 @@ impl TelemetrySnapshot {
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
                  \"p50\":{},\"p99\":{},\"p999\":{},\"p9999\":{}}}",
-                series.key.name(),
+                key.name(),
                 series.count,
                 series.sum,
                 series.min(),

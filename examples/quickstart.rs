@@ -103,13 +103,13 @@ fn main() {
         "{:<12} {:>10} {:>8} {:>8} {:>8}",
         "op_path", "count", "p50", "p99", "p999"
     );
-    for series in snap.latency_series() {
+    for (key, series) in snap.latency_series() {
         if series.count() == 0 {
             continue;
         }
         println!(
             "{:<12} {:>10} {:>8} {:>8} {:>8}",
-            series.key().name(),
+            key.name(),
             series.count(),
             series.quantile(0.5).unwrap_or(0),
             series.quantile(0.99).unwrap_or(0),

@@ -239,7 +239,7 @@ fn latency_samples_account_for_every_operation() {
         );
         assert_eq!(snap.counter(CounterId::StallDump), 0);
         // Quantiles are well-formed on every populated series.
-        for series in snap.latency_series() {
+        for (_, series) in snap.latency_series() {
             if series.count() == 0 {
                 continue;
             }
@@ -401,11 +401,11 @@ fn exporters_agree_with_the_snapshot() {
         // every populated op/path series closes with an `le="+Inf"` bucket
         // matching its `_count`, and bucket values never decrease.
         assert!(prom.contains("# TYPE turnq_op_latency_ns histogram"), "{prom}");
-        for series in snap.latency_series().iter().filter(|s| s.count() > 0) {
+        for (key, series) in snap.latency_series().filter(|(_, s)| s.count() > 0) {
             let labels = format!(
                 "op=\"{}\",path=\"{}\"",
-                series.key().op(),
-                series.key().path()
+                key.op(),
+                key.path()
             );
             let inf = format!(
                 "turnq_op_latency_ns_bucket{{{labels},le=\"+Inf\"}} {}",
