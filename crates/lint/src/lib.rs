@@ -45,7 +45,7 @@ use report::{Finding, Report, Stats};
 /// Crates whose production `src/` trees answer to the protocol passes
 /// (`safety-rule`, `raw-ordering`, `ordering-*`). Everything else answers
 /// to `safety-comment` and `cfg-feature` only.
-pub const LINTED_CRATES: [&str; 7] = [
+pub const LINTED_CRATES: [&str; 8] = [
     "crates/core",
     "crates/hazard",
     "crates/kp",
@@ -53,6 +53,7 @@ pub const LINTED_CRATES: [&str; 7] = [
     "crates/baselines",
     "crates/sharded",
     "crates/bounded",
+    "crates/telemetry",
 ];
 
 /// Top-level directories the workspace walk covers.

@@ -42,7 +42,9 @@
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 #[cfg(feature = "probe")]
-use turnq_sync::observer::{AtomicPtr, AtomicU64, Ordering};
+use turnq_sync::observer::{self, AtomicPtr, AtomicU64};
+#[cfg(feature = "probe")]
+use turnq_sync::ord;
 
 use crate::counters::CounterId;
 #[cfg(feature = "probe")]
@@ -134,7 +136,7 @@ impl ThreadRow {
     /// Owner-only increment: exact because only the owning thread writes.
     #[inline]
     fn bump(&self, cell: &AtomicU64, n: u64) {
-        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        cell.store(cell.load(observer::Ordering::Relaxed) + n, observer::Ordering::Relaxed);
     }
 
     /// Owner only: this row's latency block, allocated and published on
@@ -173,7 +175,10 @@ fn own_block<const N: usize>(
     slot: &AtomicPtr<[AtomicU64; N]>,
     init: impl Fn(usize) -> u64,
 ) -> &[AtomicU64; N] {
-    let mut block = slot.load(Ordering::Relaxed);
+    // ORDERING(tel.block-own): RELAXED — the owner reads its own slot:
+    // it stored the pointer itself or inherited the row through the
+    // registry's release/claim edge.
+    let mut block = slot.load(ord::RELAXED);
     if block.is_null() {
         block = publish_block(slot, init);
     }
@@ -188,7 +193,9 @@ fn own_block<const N: usize>(
 #[cfg(feature = "probe")]
 #[allow(unsafe_code)]
 fn published_block<const N: usize>(slot: &AtomicPtr<[AtomicU64; N]>) -> Option<&[AtomicU64; N]> {
-    let block = slot.load(Ordering::Acquire);
+    // ORDERING(tel.block-read): ACQUIRE — a reader sees the block's
+    // initialised cells once it sees the pointer. pairs=tel.block-publish
+    let block = slot.load(ord::ACQUIRE);
     // SAFETY(publish-once): this `Acquire` load pairs with the `Release`
     // store in `publish_block`, so a non-null pointer's initialised block
     // is visible; it is never moved and is freed only when the row drops,
@@ -230,7 +237,10 @@ fn publish_block<const N: usize>(
         .try_into()
         .unwrap_or_else(|_| unreachable!("the block is collected at its exact length"));
     let block = Box::into_raw(block);
-    slot.store(block, Ordering::Release);
+    // ORDERING(tel.block-publish): RELEASE — orders the block's
+    // initialisation before the pointer a reader loads.
+    // pairs=tel.block-read
+    slot.store(block, ord::RELEASE);
     block
 }
 
@@ -332,12 +342,12 @@ impl TelemetrySheet {
             row.bump(&series[0], 1);
             row.bump(&series[1], nanos);
             let max = &series[2];
-            if nanos > max.load(Ordering::Relaxed) {
-                max.store(nanos, Ordering::Relaxed);
+            if nanos > max.load(observer::Ordering::Relaxed) {
+                max.store(nanos, observer::Ordering::Relaxed);
             }
             let min = &series[LAT_MIN];
-            if nanos < min.load(Ordering::Relaxed) {
-                min.store(nanos, Ordering::Relaxed);
+            if nanos < min.load(observer::Ordering::Relaxed) {
+                min.store(nanos, observer::Ordering::Relaxed);
             }
         }
     }
@@ -383,9 +393,9 @@ impl TelemetrySheet {
         #[cfg(feature = "probe")]
         {
             let row = &self.rows[tid];
-            let pos = row.ring_pos.load(Ordering::Relaxed);
-            row.own_ring()[(pos as usize) % RING_CAPACITY].store(pack(kind, arg), Ordering::Relaxed);
-            row.ring_pos.store(pos + 1, Ordering::Relaxed);
+            let pos = row.ring_pos.load(observer::Ordering::Relaxed);
+            row.own_ring()[(pos as usize) % RING_CAPACITY].store(pack(kind, arg), observer::Ordering::Relaxed);
+            row.ring_pos.store(pos + 1, observer::Ordering::Relaxed);
         }
     }
 
@@ -402,12 +412,12 @@ impl TelemetrySheet {
             let Some(ring) = row.published_ring() else {
                 return Vec::new();
             };
-            let pos = row.ring_pos.load(Ordering::Relaxed);
+            let pos = row.ring_pos.load(observer::Ordering::Relaxed);
             let live = (pos as usize).min(RING_CAPACITY);
             let mut out = Vec::with_capacity(live);
             for i in 0..live {
                 let slot = (pos as usize - live + i) % RING_CAPACITY;
-                if let Some(ev) = unpack(ring[slot].load(Ordering::Relaxed)) {
+                if let Some(ev) = unpack(ring[slot].load(observer::Ordering::Relaxed)) {
                     out.push(ev);
                 }
             }
@@ -427,30 +437,30 @@ impl TelemetrySheet {
         #[cfg(feature = "probe")]
         for row in self.rows.iter() {
             for id in CounterId::ALL {
-                snap.add_counter(id.name(), row.counters[id as usize].load(Ordering::Relaxed));
+                snap.add_counter(id.name(), row.counters[id as usize].load(observer::Ordering::Relaxed));
             }
             let depth = row.depth.iter().flat_map(|chunk| chunk.iter());
             for (d, cell) in depth.take(self.max_threads).enumerate() {
-                snap.add_depth_bucket(d, cell.load(Ordering::Relaxed));
+                snap.add_depth_bucket(d, cell.load(observer::Ordering::Relaxed));
             }
             let Some(block) = row.published_lat() else {
                 continue;
             };
             for key in OpKey::ALL {
                 let series = &block[(key as usize) * LAT_SERIES..][..LAT_SERIES];
-                let count = series[0].load(Ordering::Relaxed);
+                let count = series[0].load(observer::Ordering::Relaxed);
                 if count == 0 {
                     continue;
                 }
                 snap.add_latency_stats(
                     key,
                     count,
-                    series[1].load(Ordering::Relaxed),
-                    series[2].load(Ordering::Relaxed),
-                    series[LAT_MIN].load(Ordering::Relaxed),
+                    series[1].load(observer::Ordering::Relaxed),
+                    series[2].load(observer::Ordering::Relaxed),
+                    series[LAT_MIN].load(observer::Ordering::Relaxed),
                 );
                 for (b, cell) in series[LAT_STATS..].iter().enumerate() {
-                    let n = cell.load(Ordering::Relaxed);
+                    let n = cell.load(observer::Ordering::Relaxed);
                     if n > 0 {
                         snap.add_latency_bucket(key, b, n);
                     }
@@ -482,7 +492,7 @@ impl TelemetrySheet {
     pub fn thread_counter(&self, tid: usize, id: CounterId) -> u64 {
         #[cfg(feature = "probe")]
         {
-            self.rows[tid].counters[id as usize].load(Ordering::Relaxed)
+            self.rows[tid].counters[id as usize].load(observer::Ordering::Relaxed)
         }
         #[cfg(not(feature = "probe"))]
         0
@@ -494,7 +504,7 @@ impl TelemetrySheet {
         {
             self.rows
                 .iter()
-                .map(|r| r.counters[id as usize].load(Ordering::Relaxed))
+                .map(|r| r.counters[id as usize].load(observer::Ordering::Relaxed))
                 .sum()
         }
         #[cfg(not(feature = "probe"))]
@@ -578,9 +588,11 @@ impl TelemetryHandle {
     }
 }
 
-#[cfg(all(test, feature = "probe"))]
+#[cfg(test)]
+#[cfg(feature = "probe")]
 mod tests {
     use super::*;
+    use turnq_sync::observer::Ordering;
 
     #[test]
     fn bump_and_total() {
