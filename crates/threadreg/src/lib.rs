@@ -261,6 +261,10 @@ impl ThreadRegistry {
                 {
                     return Ok(entry.index);
                 }
+                // A miss: forget registries that died since, so a thread
+                // that outlives many short-lived queues neither keeps
+                // their allocations alive nor scans past them.
+                cache.entries.retain(|e| e.slots.strong_count() > 0);
                 let index = self.claim_slot()?;
                 cache.entries.push(TlsEntry {
                     registry_id,
@@ -392,6 +396,23 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::Barrier;
+
+    #[test]
+    fn tls_cache_holds_only_live_registries() {
+        let cached = || CACHE.with(|c| c.borrow().entries.len());
+        std::thread::spawn(move || {
+            let kept = ThreadRegistry::new(2);
+            let kept_index = kept.current_index();
+            for _ in 0..10_000 {
+                let short = ThreadRegistry::new(2);
+                short.current_index();
+                assert_eq!(cached(), 2, "the cache holds a dead registry");
+            }
+            assert_eq!(kept.peek_index(), Some(kept_index));
+        })
+        .join()
+        .unwrap();
+    }
 
     #[test]
     fn same_thread_same_index() {
