@@ -60,9 +60,9 @@ impl Scale {
         }
     }
 
-    /// A deliberately tiny profile used by the `paper_report` bench target
-    /// so `cargo bench` finishes quickly while still exercising every
-    /// protocol end to end.
+    /// A deliberately tiny profile, selected by the per-figure binaries'
+    /// `--quick` flag, so CI exercises every protocol end to end in
+    /// seconds.
     pub fn quick() -> Self {
         Scale {
             threads: 3,
