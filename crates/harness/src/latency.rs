@@ -19,10 +19,9 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use turnq_api::{ConcurrentQueue, QueueFamily};
-
-use crate::config::Scale;
 use turnq_telemetry::LatencySeries;
 
+use crate::config::Scale;
 use crate::kinds::QueueKind;
 use crate::stats::{median, paper_quantiles, PAPER_QUANTILES};
 use crate::with_queue_family;

@@ -98,11 +98,6 @@ impl LatencySeries {
         }
     }
 
-    /// Linear sub-buckets per power-of-two range, as a power of two.
-    pub fn sub_bucket_bits(&self) -> u32 {
-        self.sub_bucket_bits
-    }
-
     /// Record one sample (nanoseconds).
     #[inline]
     pub fn record(&mut self, nanos: u64) {
