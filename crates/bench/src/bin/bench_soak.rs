@@ -43,9 +43,10 @@
 //!    `latency_sample_period`.
 //! 7. `observed_drift` (sharded variant only) — every item draws a global
 //!    arrival ticket when its enqueue returns and every successful dequeue
-//!    draws a stamp; the maximum |ticket − stamp| over the soak (items
-//!    dequeued before their enqueue returned do not count, see
-//!    `DriftMeter`) must stay within the queue's
+//!    spans a departure interval of stamps; the maximum distance from a
+//!    ticket to its item's interval over the soak (items dequeued before
+//!    their enqueue returned do not count, see `DriftMeter`) must stay
+//!    within the queue's
 //!    declared relaxation bound `k = lanes × lane_occupancy_bound`. A
 //!    lane the sweep stopped visiting would grow the gap without bound,
 //!    so this is the k-contract as a production gate (DESIGN.md §6e).
@@ -140,15 +141,19 @@ impl SoakQueue for ShardedTurnQueue<u64> {
     }
 }
 
-/// Arrival-ticket / departure-stamp pair behind the `observed_drift` SLO.
-/// An item draws its arrival ticket when its enqueue *returns*, and a
-/// successful dequeue draws a departure stamp; the running max of
-/// |ticket − stamp| records how far delivery strayed from enqueue
-/// completion order. An item that is dequeued before its enqueue returned
-/// was concurrent with it and does not count. A producer preempted inside
-/// its enqueue therefore reads as a late arrival, not as drift. On the
-/// strict-FIFO variants the gap stays within the concurrency slack; on
-/// the sharded variant it is gated by the declared relaxation bound `k`.
+/// Arrival tickets and departure intervals behind the `observed_drift`
+/// SLO. An item draws its arrival ticket when its enqueue *returns*. A
+/// dequeue reads the stamp counter before its call and draws a stamp
+/// after it returns an item, so the item departed somewhere in the
+/// interval `[before, after]`. The running max of the distance from each
+/// ticket to its item's interval records how far delivery strayed from
+/// enqueue completion order. An item that is dequeued before its enqueue
+/// returned was concurrent with it and does not count. A producer
+/// preempted inside its enqueue therefore reads as a late arrival, and a
+/// consumer preempted between its dequeue and its stamp as a long
+/// interval; neither is drift. On the strict-FIFO variants the distance
+/// stays within the concurrency slack; on the sharded variant it is gated
+/// by the declared relaxation bound `k`.
 ///
 /// The ticket reaches the consumer through a slot table: an item's value
 /// is the index of the slot it claimed, which holds `PENDING` until the
@@ -209,19 +214,25 @@ impl DriftMeter {
         }
     }
 
-    /// `item` was dequeued.
-    fn dequeued(&self, item: u64) {
-        let s = self.stamps.fetch_add(1, Ordering::Relaxed);
+    /// Dequeue through `deq` and meter the item it returns against the
+    /// stamps drawn while it ran.
+    fn dequeue(&self, deq: impl FnOnce() -> Option<u64>) -> Option<u64> {
+        let before = self.stamps.load(Ordering::Relaxed);
+        let item = deq()?;
+        let after = self.stamps.fetch_add(1, Ordering::Relaxed);
         if item == UNMETERED {
-            return;
+            return Some(item);
         }
         let slot = &self.slots[item as usize];
         let state = slot.swap(TAKEN, Ordering::Relaxed);
         if state != PENDING {
             // Otherwise `enqueued` frees the slot when the enqueue returns.
-            self.max_drift.fetch_max((state - TICKET_BASE).abs_diff(s), Ordering::Relaxed);
+            let t = state - TICKET_BASE;
+            let drift = before.saturating_sub(t).max(t.saturating_sub(after));
+            self.max_drift.fetch_max(drift, Ordering::Relaxed);
             slot.store(FREE, Ordering::Relaxed);
         }
+        Some(item)
     }
 
     fn max(&self) -> u64 {
@@ -319,9 +330,8 @@ fn soak<Q: SoakQueue>(queue: &Q, cfg: &Config, drift: &DriftMeter) -> u64 {
             s.spawn(move || {
                 let mut local = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    match queue.dequeue() {
-                        Some(v) => drift.dequeued(v),
-                        None => std::thread::yield_now(),
+                    if drift.dequeue(|| queue.dequeue()).is_none() {
+                        std::thread::yield_now();
                     }
                     local += 1;
                     if local.is_multiple_of(1024) {
@@ -345,8 +355,8 @@ fn soak<Q: SoakQueue>(queue: &Q, cfg: &Config, drift: &DriftMeter) -> u64 {
                                     let item = drift.item();
                                     queue.enqueue(item);
                                     drift.enqueued(item);
-                                } else if let Some(v) = queue.dequeue() {
-                                    drift.dequeued(v);
+                                } else {
+                                    drift.dequeue(|| queue.dequeue());
                                 }
                             }
                         });
@@ -364,8 +374,7 @@ fn soak<Q: SoakQueue>(queue: &Q, cfg: &Config, drift: &DriftMeter) -> u64 {
     // drops empty. Drained items are late deliveries, not reordering: they
     // still draw stamps so a backlogged-but-honest queue is not penalized.
     let mut drained = 0u64;
-    while let Some(v) = queue.dequeue() {
-        drift.dequeued(v);
+    while drift.dequeue(|| queue.dequeue()).is_some() {
         drained += 1;
     }
     ops.load(Ordering::Relaxed) + drained
@@ -757,12 +766,33 @@ mod tests {
         let late = drift.item();
         for _ in 0..1000 {
             push(&queue, &drift);
-            drift.dequeued(queue.dequeue().unwrap());
+            drift.dequeue(|| queue.dequeue()).unwrap();
         }
         queue.enqueue(late);
         drift.enqueued(late);
-        drift.dequeued(queue.dequeue().unwrap());
+        drift.dequeue(|| queue.dequeue()).unwrap();
         assert_eq!(drift.max(), 0);
+    }
+
+    /// A consumer paused between its dequeue and its stamp, while 1,000
+    /// later items pass through a strict-FIFO queue, departs over a long
+    /// interval; that is not drift. The items passing it stamp one place
+    /// early, which is the concurrency slack of two consumers.
+    #[test]
+    fn a_consumer_paused_before_its_stamp_is_not_drift() {
+        let (queue, drift) = (TurnQueue::new(), DriftMeter::new());
+        push(&queue, &drift);
+        drift
+            .dequeue(|| {
+                let first = queue.dequeue();
+                for _ in 0..1000 {
+                    push(&queue, &drift);
+                    drift.dequeue(|| queue.dequeue()).unwrap();
+                }
+                first
+            })
+            .unwrap();
+        assert!(drift.max() <= 1, "{}", drift.max());
     }
 
     /// An item dequeued before its enqueue returned was concurrent with
@@ -775,12 +805,10 @@ mod tests {
         for _ in 0..1000 {
             push(&queue, &drift);
         }
-        drift.dequeued(queue.dequeue().unwrap());
+        drift.dequeue(|| queue.dequeue()).unwrap();
         drift.enqueued(early);
         assert_eq!(drift.slots[early as usize].load(Ordering::Relaxed), FREE);
-        while let Some(v) = queue.dequeue() {
-            drift.dequeued(v);
-        }
+        while drift.dequeue(|| queue.dequeue()).is_some() {}
         assert!(drift.max() <= 1, "{}", drift.max());
     }
 
@@ -797,7 +825,7 @@ mod tests {
             })
             .collect();
         for &item in items.iter().rev() {
-            drift.dequeued(item);
+            drift.dequeue(|| Some(item));
         }
         assert_eq!(drift.max(), 999);
     }

@@ -79,3 +79,45 @@ pub use seg::{SegHandle, SegTurnFamily, SegTurnQueue};
 // turnq-api dependency.
 pub use turnq_api::PoolStats;
 pub use variants::{MpscConsumer, SpmcProducer, TurnMpscQueue, TurnSpmcQueue};
+
+/// Test payload for the queue-drop unwinding tests: it counts its drops
+/// per item and panics in the drop of one chosen item.
+#[cfg(test)]
+pub(crate) mod drop_probe {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    pub(crate) struct Item {
+        id: usize,
+        panic_id: usize,
+        drops: Arc<[AtomicUsize]>,
+    }
+
+    impl Drop for Item {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+            if self.id == self.panic_id {
+                panic!("item {} panics in drop", self.id);
+            }
+        }
+    }
+
+    /// Enqueue items `0..n` into `q` (item `panic_id` panics when dropped),
+    /// drop the queue, and assert that the panic propagates and that every
+    /// item is dropped exactly once.
+    pub(crate) fn assert_drop_frees_all<Q>(q: Q, enqueue: fn(&Q, Item), n: usize, panic_id: usize) {
+        let drops: Arc<[AtomicUsize]> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        for id in 0..n {
+            let item = Item {
+                id,
+                panic_id,
+                drops: Arc::clone(&drops),
+            };
+            enqueue(&q, item);
+        }
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(q)));
+        assert!(dropped.is_err(), "the payload's panic must propagate");
+        let counts: Vec<usize> = drops.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+        assert_eq!(counts, vec![1; n], "every item dropped exactly once");
+    }
+}

@@ -110,12 +110,6 @@ pub struct TurnQueue<T> {
     /// affect wait-freedom or the CAS-only claim. An inert shell when the
     /// `telemetry` feature is off.
     pub(crate) telemetry: Arc<TelemetrySheet>,
-    /// Optional bounded spin after publishing a request, before joining the
-    /// helping loop (§4.1's backoff observation: "a valid (and perhaps
-    /// interesting deliberate) strategy is to backoff and wait a while for
-    /// another thread to help"). 0 disables. Bounded, so wait-freedom is
-    /// unaffected.
-    backoff_spins: u32,
     /// Fast-path retry budget (DESIGN.md §6c): how many direct MS-style CAS
     /// attempts an operation makes before falling back to the paper's
     /// request-publication slow path. 0 disables the fast path (every
@@ -169,8 +163,6 @@ unsafe impl<T: Send> Sync for TurnQueue<T> {}
 #[derive(Debug, Clone)]
 pub struct TurnQueueBuilder {
     max_threads: usize,
-    hp_scan_threshold: usize,
-    backoff_spins: u32,
     pool_capacity: Option<usize>,
     fast_tries: Option<u32>,
     panic_check: bool,
@@ -188,8 +180,6 @@ impl Default for TurnQueueBuilder {
     fn default() -> Self {
         TurnQueueBuilder {
             max_threads: DEFAULT_MAX_THREADS,
-            hp_scan_threshold: 0,
-            backoff_spins: 0,
             pool_capacity: None,
             fast_tries: None,
             panic_check: true,
@@ -204,9 +194,8 @@ impl Default for TurnQueueBuilder {
 }
 
 impl TurnQueueBuilder {
-    /// Start from the defaults: [`DEFAULT_MAX_THREADS`], HP scan threshold
-    /// `R = 0`, no backoff, recommended pool capacity, and the feature-gated
-    /// default fast-path budget.
+    /// Start from the defaults: [`DEFAULT_MAX_THREADS`], recommended pool
+    /// capacity, and the default fast-path budget [`DEFAULT_FAST_TRIES`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -219,25 +208,9 @@ impl TurnQueueBuilder {
         self
     }
 
-    /// Hazard-pointer scan threshold `R` (the paper uses `R = 0` to
-    /// minimize dequeue latency, §3.1; larger values batch reclamation,
-    /// trading bounded extra memory for fewer scans — see the
-    /// `ablation_hp_r` bench).
-    pub fn hp_scan_threshold(mut self, r: usize) -> Self {
-        self.hp_scan_threshold = r;
-        self
-    }
-
-    /// Deliberate-backoff spin budget of §4.1 (0 disables): a *bounded*
-    /// spin after publishing a request, betting that a helper completes it.
-    pub fn backoff_spins(mut self, spins: u32) -> Self {
-        self.backoff_spins = spins;
-        self
-    }
-
     /// Explicit per-thread node-pool capacity (0 disables recycling).
     /// Unset, the pool defaults to
-    /// [`retired_bound_with_threshold`](turnq_hazard::retired_bound_with_threshold);
+    /// [`retired_bound`](turnq_hazard::retired_bound);
     /// larger sizes buy nothing, since a free list can never receive more
     /// nodes than the reclamation backlog bound.
     pub fn pool_capacity(mut self, capacity: usize) -> Self {
@@ -352,8 +325,6 @@ impl TurnQueueBuilder {
     pub fn build<T>(self) -> TurnQueue<T> {
         let TurnQueueBuilder {
             max_threads,
-            hp_scan_threshold,
-            backoff_spins,
             pool_capacity,
             fast_tries,
             panic_check,
@@ -380,13 +351,8 @@ impl TurnQueueBuilder {
         let registry_shared = registry.is_some();
         // One free list can then absorb the worst-case reclamation burst a
         // single scan may deliver (see `pool` module docs).
-        let pool_capacity = pool_capacity.unwrap_or_else(|| {
-            turnq_hazard::retired_bound_with_threshold(
-                max_threads,
-                HPS_PER_THREAD,
-                hp_scan_threshold,
-            )
-        });
+        let pool_capacity = pool_capacity
+            .unwrap_or_else(|| turnq_hazard::retired_bound(max_threads, HPS_PER_THREAD));
         let fast_tries = fast_tries.unwrap_or(DEFAULT_FAST_TRIES);
         let mk_slots = || {
             (0..max_threads)
@@ -417,7 +383,6 @@ impl TurnQueueBuilder {
         let mut hp = HazardPointers::with_sink(
             max_threads,
             HPS_PER_THREAD,
-            hp_scan_threshold,
             PoolSink::new(Arc::clone(&pool)),
         );
         hp.attach_telemetry(TelemetryHandle::connected(&telemetry));
@@ -433,7 +398,6 @@ impl TurnQueueBuilder {
             registry: registry.unwrap_or_else(|| ThreadRegistry::new(max_threads)),
             registry_shared,
             telemetry,
-            backoff_spins,
             fast_tries,
             panic_check,
             stall_threshold_ns,
@@ -451,8 +415,8 @@ impl TurnQueueBuilder {
 }
 
 impl<T> TurnQueue<T> {
-    /// The builder carrying every configuration knob (thread bound, HP
-    /// scan threshold, backoff, pool capacity, fast-path budget).
+    /// The builder carrying every configuration knob (thread bound, pool
+    /// capacity, fast-path budget).
     pub fn builder() -> TurnQueueBuilder {
         TurnQueueBuilder::new()
     }
@@ -859,9 +823,9 @@ impl<T> TurnQueue<T> {
     /// Paper Algorithm 2 (the slow path): publish the pre-allocated node as
     /// a request, then help until the request is *verifiably* complete.
     pub(crate) fn slow_enqueue(&self, myidx: usize, my_node: *mut Node<T>, timer: &OpTimer) {
-        // Our own request slot, hoisted: the publish, the backoff spin, and
-        // every helping-loop iteration re-check it, and the bounds check +
-        // CachePadded indirection need not repeat.
+        // Our own request slot, hoisted: the publish and every helping-loop
+        // iteration re-check it, and the bounds check + CachePadded
+        // indirection need not repeat.
         let my_slot = &self.enqueuers[myidx];
         // ORDERING(q.enq-publish): SEQ_CST — consensus publish (line 4).
         // Helpers scan `enqueuers` starting at the tail's enq_tid + 1, and
@@ -871,19 +835,6 @@ impl<T> TurnQueue<T> {
         // guarantee weaker orderings do not give.
         // pairs=q.enq-panic-scan,q.enq-scan,q.enq-turn-close
         my_slot.store(my_node, ord::SEQ_CST); // line 4: publish request
-        // Optional deliberate backoff (§4.1): our request is published, so
-        // helpers can finish it while we spin instead of contending.
-        for _ in 0..self.backoff_spins {
-            // ORDERING(q.enq-complete): ACQUIRE — completion hint; pairs
-            // with the helper's slot-clearing CAS. A stale non-null read
-            // only spins once more. pairs=q.enq-turn-close
-            if my_slot.load(ord::ACQUIRE).is_null() {
-                // Helped before we took a step.
-                self.record_enqueue(myidx, 0, timer, OpKey::EnqHelped);
-                return; // a helper inserted our node
-            }
-            turnq_sync::hint::spin_loop();
-        }
         let mut iter = 0usize;
         loop {
             // line 5
@@ -1198,8 +1149,8 @@ impl<T> TurnQueue<T> {
 
     /// Paper Algorithm 3 (the slow path).
     fn slow_dequeue(&self, myidx: usize, timer: &OpTimer) -> Option<T> {
-        // Our own request slots, hoisted out of the backoff spin and the
-        // helping loop (same reasoning as in `enqueue_with`).
+        // Our own request slots, hoisted out of the helping loop (same
+        // reasoning as in `slow_enqueue`).
         let my_deqself = &self.deqself[myidx];
         let my_deqhelp = &self.deqhelp[myidx];
         // ORDERING(q.deqself-readback): RELAXED — deqself[myidx] is written
@@ -1217,17 +1168,6 @@ impl<T> TurnQueue<T> {
         // totally ordered with those scans and with the head == tail
         // emptiness check. pairs=q.deq-scan,q.deq-panic-scan
         my_deqself.store(my_req, ord::SEQ_CST);
-        // Optional deliberate backoff (§4.1); the loop's line-7 check picks
-        // up a request satisfied during the spin.
-        for _ in 0..self.backoff_spins {
-            // ORDERING(q.deq-complete): ACQUIRE — completion hint; pairs
-            // with the closing CAS. A stale read only spins once more.
-            // pairs=q.deq-close-cas,q.deq-close-own
-            if my_deqhelp.load(ord::ACQUIRE) != my_req {
-                break;
-            }
-            turnq_sync::hint::spin_loop();
-        }
         // Like the enqueue side, the paper's `for (0..MAX_THREADS)` loop
         // (line 6) became an open loop with a verified exit: past the Inv. 5
         // budget we keep helping until the satisfaction check itself
@@ -1632,11 +1572,16 @@ impl<T> Drop for TurnQueue<T> {
             // ORDERING(q.drop-walk): RELAXED — &mut self, see above.
             debug_assert!(slot.load(ord::RELAXED).is_null());
         }
-        for p in to_free {
+        // Owned as boxes, the nodes are freed by `Vec`'s drop, which keeps
+        // dropping the rest when one item's `Drop` panics: an unwinding
+        // payload leaks no later node, and the panic still propagates.
+        let nodes: Vec<Box<Node<T>>> = to_free
+            .into_iter()
             // SAFETY(drop-exclusive): collected exactly once each;
             // exclusive access.
-            unsafe { drop(Box::from_raw(p)) };
-        }
+            .map(|p| unsafe { Box::from_raw(p) })
+            .collect();
+        drop(nodes);
         // Retired-but-protected nodes are freed by HazardPointers::drop.
     }
 }
@@ -1918,54 +1863,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_config_preserves_semantics() {
-        let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).backoff_spins(256).build();
-        for i in 0..200 {
-            q.enqueue(i);
-        }
-        for i in 0..200 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
-    }
-
-    #[test]
-    fn backoff_mpmc_delivery() {
-        const THREADS: usize = 4;
-        const PER: u64 = 2_000;
-        let q: Arc<TurnQueue<u64>> = Arc::new(
-            TurnQueueBuilder::new()
-                .max_threads(THREADS)
-                .backoff_spins(64)
-                .build(),
-        );
-        let received = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for p in 0..THREADS / 2 {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..PER {
-                        q.enqueue((p as u64) << 32 | i);
-                    }
-                });
-            }
-            for _ in 0..THREADS / 2 {
-                let q = Arc::clone(&q);
-                let received = Arc::clone(&received);
-                s.spawn(move || {
-                    while received.load(Ordering::SeqCst)
-                        < (THREADS / 2) * PER as usize
-                    {
-                        if q.dequeue().is_some() {
-                            received.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(received.load(Ordering::SeqCst), (THREADS / 2) * PER as usize);
+    fn drop_survives_a_panicking_payload() {
+        let q: TurnQueue<crate::drop_probe::Item> = TurnQueue::with_max_threads(2);
+        crate::drop_probe::assert_drop_frees_all(q, TurnQueue::enqueue, 10, 3);
     }
 
     #[test]
@@ -1976,7 +1876,7 @@ mod tests {
         assert_eq!(q.fast_tries(), DEFAULT_FAST_TRIES);
         assert_eq!(
             q.pool_capacity(),
-            turnq_hazard::retired_bound_with_threshold(2, HPS_PER_THREAD, 0)
+            turnq_hazard::retired_bound(2, HPS_PER_THREAD)
         );
         // The shorthand constructors are thin wrappers over the builder,
         // so they inherit the same defaults.
@@ -1985,8 +1885,6 @@ mod tests {
         // Explicit knobs leave the unset ones at their defaults.
         let q2: TurnQueue<u32> = TurnQueueBuilder::new()
             .max_threads(3)
-            .hp_scan_threshold(1)
-            .backoff_spins(16)
             .pool_capacity(8)
             .build();
         assert_eq!(q2.fast_tries(), DEFAULT_FAST_TRIES);

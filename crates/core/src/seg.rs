@@ -323,10 +323,8 @@ impl<T> SegTurnQueue<T> {
             self.inner.slow_enqueue(myidx, node, &timer);
         }
         // Reset the HP cache: the consensus paths protect and clear on
-        // their own schedule and can return with an *unvalidated* pointer
-        // still published (e.g. the slow path's backoff-helped return), so
-        // the next op must not treat the slot as a validated cache. One
-        // release store per K items — amortized away.
+        // their own schedule, so the next op must not treat the slot as a
+        // validated cache. One release store per K items — amortized away.
         self.inner.hp.clear_one(myidx, HP_HEAD_TAIL);
         tel.bump(myidx, CounterId::SegEnqAppend);
         tel.event(myidx, EventKind::SegAppend, 0);
@@ -829,6 +827,12 @@ mod tests {
         }
         // 3 dequeued + 7 still in cells when the queue dropped.
         assert_eq!(drops.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn drop_survives_a_panicking_payload() {
+        let q: SegTurnQueue<crate::drop_probe::Item> = seg_queue(2, 4);
+        crate::drop_probe::assert_drop_frees_all(q, SegTurnQueue::enqueue, 10, 1);
     }
 
     #[test]

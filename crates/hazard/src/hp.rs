@@ -46,11 +46,6 @@ impl<T> Default for RetiredList<T> {
 pub struct HazardPointers<T, S: ReclaimSink<T> = BoxDropSink> {
     matrix: HpMatrix<T>,
     retired: Box<[CachePadded<RetiredList<T>>]>,
-    /// The scan threshold `R` of Michael's HP paper: a retire only scans
-    /// when the retired list exceeds `R` entries. The paper's queues use
-    /// `R = 0` ("with the purpose of reducing latency on dequeue() as much
-    /// as possible", §3.1); the ablation bench measures other values.
-    scan_threshold: usize,
     sink: S,
     /// Observer-only probes (protect/scan/retire/reclaim counters, scan
     /// events); disconnected unless an owner attaches its sheet.
@@ -68,14 +63,7 @@ impl<T> HazardPointers<T> {
     /// A domain for `max_threads` threads with `k` hazard slots each and
     /// the paper's `R = 0` scan policy, freeing to the allocator.
     pub fn new(max_threads: usize, k: usize) -> Self {
-        Self::with_scan_threshold(max_threads, k, 0)
-    }
-
-    /// A domain with an explicit scan threshold `R` (see
-    /// [`Self::retire`]); the unreclaimed bound becomes
-    /// `max_threads × k + R + 1`.
-    pub fn with_scan_threshold(max_threads: usize, k: usize, scan_threshold: usize) -> Self {
-        Self::with_sink(max_threads, k, scan_threshold, BoxDropSink)
+        Self::with_sink(max_threads, k, BoxDropSink)
     }
 }
 
@@ -84,7 +72,7 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
     /// them. The scan logic — and therefore the
     /// [`retired_bound`](crate::retired_bound) backlog guarantee — is
     /// identical to the default domain; only the disposal step changes.
-    pub fn with_sink(max_threads: usize, k: usize, scan_threshold: usize, sink: S) -> Self {
+    pub fn with_sink(max_threads: usize, k: usize, sink: S) -> Self {
         let retired = (0..max_threads)
             .map(|_| CachePadded::new(RetiredList::default()))
             .collect::<Vec<_>>()
@@ -92,7 +80,6 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
         HazardPointers {
             matrix: HpMatrix::new(max_threads, k),
             retired,
-            scan_threshold,
             sink,
             telemetry: TelemetryHandle::disconnected(),
         }
@@ -244,12 +231,6 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
         // makes this the only mutable access to the list.
         let list = unsafe { &mut *row.list.get() };
         list.push(ptr);
-        if list.len() <= self.scan_threshold {
-            // ORDERING(hp.backlog-gauge): RELAXED — backlog gauge mirror
-            // (see retired_count).
-            row.len.store(list.len(), ord::RELAXED);
-            return;
-        }
         self.telemetry.bump(tid, CounterId::HpScan);
         // ORDERING(hp.scan-fence): SEQ_CST fence — scan-side half of the protect/scan
         // Dekker. A reader's SC protect store ordered before this fence is
@@ -433,23 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_threshold_batches_reclamation() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let hp: HazardPointers<DropCounter> = HazardPointers::with_scan_threshold(2, 1, 4);
-        for _ in 0..4 {
-            // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
-            unsafe { hp.retire(0, counted(&drops)) };
-        }
-        // At or below R: nothing scanned, nothing freed.
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
-        assert_eq!(hp.retired_count(0), 4);
-        // Crossing R frees the whole batch.
-        unsafe { hp.retire(0, counted(&drops)) };
-        assert_eq!(drops.load(Ordering::SeqCst), 5);
-        assert_eq!(hp.retired_count(0), 0);
-    }
-
-    #[test]
     fn custom_sink_receives_reclaimed_pointers() {
         use crate::sink::ReclaimSink;
         use std::sync::Mutex;
@@ -468,7 +432,7 @@ mod tests {
 
         let got = Arc::new(Mutex::new(Vec::new()));
         let hp: HazardPointers<u64, Collect> =
-            HazardPointers::with_sink(2, 1, 0, Collect { got: Arc::clone(&got) });
+            HazardPointers::with_sink(2, 1, Collect { got: Arc::clone(&got) });
         let free_now = Box::into_raw(Box::new(7u64));
         let pinned = Box::into_raw(Box::new(8u64));
         hp.protect_ptr(1, 0, pinned);

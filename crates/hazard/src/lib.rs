@@ -55,13 +55,6 @@ pub fn retired_bound(max_threads: usize, k: usize) -> usize {
     max_threads * k + 1
 }
 
-/// [`retired_bound`] generalized to a nonzero scan threshold `R`
-/// ([`HazardPointers::with_scan_threshold`]): up to `R` entries may sit in
-/// the list without any scan having run, on top of the pinned ones.
-pub fn retired_bound_with_threshold(max_threads: usize, k: usize, scan_threshold: usize) -> usize {
-    max_threads * k + scan_threshold + 1
-}
-
 /// Backlog bound for a [`ConditionalHazardPointers`] domain: besides the
 /// hazard-pinned entries, each of the `max_threads` threads can hold at
 /// most one object whose condition is still pending (in KP, the node whose

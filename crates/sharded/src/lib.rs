@@ -8,7 +8,7 @@
 //!
 //! * **Enqueue** is coordination-free across producers on different lanes:
 //!   a producer's home lane is its dense [`ThreadRegistry`] index masked to
-//!   the lane count ([`ThreadRegistry::current_lane`]), so a producer only
+//!   the lane count ([`ShardedTurnQueue::home_lane`]), so a producer only
 //!   ever touches its home lane's tail. Each lane keeps the paper's
 //!   per-operation `O(max_threads)` wait-free bound.
 //! * **Dequeue** starts at a per-thread rotating cursor and sweeps at most

@@ -124,8 +124,7 @@ pub enum OpKey {
     /// loop itself (observed completion at depth ≥ 1).
     EnqSlow,
     /// Enqueue whose published request was already complete at the
-    /// thread's first look (backoff-spin exit or depth 0) — another
-    /// thread did the work.
+    /// thread's first look (depth 0) — another thread did the work.
     EnqHelped,
     /// Enqueue completed by an FAA cell claim inside a segment (§6d).
     EnqSegCell,

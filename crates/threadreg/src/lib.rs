@@ -278,29 +278,6 @@ impl ThreadRegistry {
             }))
     }
 
-    /// The calling thread's home lane among `lanes` lanes (the sharded
-    /// front-end's producer affinity, DESIGN.md §6e): the dense registry
-    /// index masked down to a lane index. `lanes` must be a power of two,
-    /// so the mask keeps consecutive indices spread round-robin across
-    /// lanes and the mapping is stable for as long as the thread holds its
-    /// slot — a thread's lane only changes if it releases its slot and
-    /// re-registers under a different index (asserted by the churn test in
-    /// `tests/sharded.rs`).
-    ///
-    /// Registers the calling thread if it is not yet registered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not a power of two, or on registry
-    /// exhaustion ([`current_index`](Self::current_index)).
-    pub fn current_lane(&self, lanes: usize) -> usize {
-        assert!(
-            lanes.is_power_of_two(),
-            "lanes must be a power of two (got {lanes})"
-        );
-        self.current_index() & (lanes - 1)
-    }
-
     /// The calling thread's index if it is already registered, without
     /// registering it.
     pub fn peek_index(&self) -> Option<usize> {
@@ -429,24 +406,6 @@ mod tests {
         let reg2 = reg.clone();
         assert_eq!(reg2.current_index(), a);
         assert_eq!(reg2.registered_count(), 1);
-    }
-
-    #[test]
-    fn current_lane_masks_index_and_is_stable() {
-        let reg = ThreadRegistry::new(8);
-        let idx = reg.current_index();
-        for lanes in [1, 2, 4, 8] {
-            assert_eq!(reg.current_lane(lanes), idx & (lanes - 1));
-        }
-        // Stable across calls while the slot is held.
-        assert_eq!(reg.current_lane(4), reg.current_lane(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn current_lane_rejects_non_power_of_two() {
-        let reg = ThreadRegistry::new(4);
-        let _ = reg.current_lane(3);
     }
 
     #[test]
