@@ -6,6 +6,14 @@ use turnq_sync::ord;
 
 use crossbeam_utils::CachePadded;
 
+/// Slots in one row: as many pointers as fill one `CachePadded` line
+/// (128 bytes on x86_64/aarch64). A matrix may use at most this many
+/// hazard indices per thread.
+pub(crate) const ROW_SLOTS: usize = 16;
+
+/// One thread's hazard slots, alone on their cache line.
+type Row<T> = CachePadded<[AtomicPtr<T>; ROW_SLOTS]>;
+
 /// A `max_threads × k` matrix of hazard slots.
 ///
 /// Row `tid` belongs exclusively to the thread registered under index `tid`;
@@ -14,24 +22,29 @@ use crossbeam_utils::CachePadded;
 pub(crate) struct HpMatrix<T> {
     max_threads: usize,
     k: usize,
-    /// Row-major `max_threads * k` slots. Each slot is cache-padded: slots
-    /// are written on every protect and scanned on every retire, so false
-    /// sharing here shows up directly in the paper's latency tables.
-    slots: Box<[CachePadded<AtomicPtr<T>>]>,
+    /// One padded row per thread; slots `k..ROW_SLOTS` stay null. Only the
+    /// owning thread writes a row, so its `k` slots share one line without
+    /// false sharing; padding keeps one thread's protects off the lines of
+    /// every other row. A retire scan pulls one line per thread.
+    rows: Box<[Row<T>]>,
 }
 
 impl<T> HpMatrix<T> {
     pub(crate) fn new(max_threads: usize, k: usize) -> Self {
         assert!(max_threads > 0, "max_threads must be non-zero");
         assert!(k > 0, "need at least one hazard slot per thread");
-        let slots = (0..max_threads * k)
-            .map(|_| CachePadded::new(AtomicPtr::new(std::ptr::null_mut())))
+        assert!(
+            k <= ROW_SLOTS,
+            "at most ROW_SLOTS = {ROW_SLOTS} hazard slots per thread, got {k}"
+        );
+        let rows = (0..max_threads)
+            .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicPtr::default())))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         HpMatrix {
             max_threads,
             k,
-            slots,
+            rows,
         }
     }
 
@@ -47,7 +60,7 @@ impl<T> HpMatrix<T> {
     fn slot(&self, tid: usize, index: usize) -> &AtomicPtr<T> {
         debug_assert!(tid < self.max_threads, "tid {tid} out of range");
         debug_assert!(index < self.k, "hazard index {index} out of range");
-        &self.slots[tid * self.k + index]
+        &self.rows[tid][index]
     }
 
     /// Publish `ptr` in slot (`tid`, `index`).
@@ -92,10 +105,16 @@ impl<T> HpMatrix<T> {
     }
 
     /// Clear all slots of `tid` (paper's `hp.clear()`).
+    ///
+    /// Stores only into slots that hold a pointer: a null store into a null
+    /// slot still takes the row's line exclusive and invalidates the copy a
+    /// concurrent retire scan just read.
     #[inline]
     pub(crate) fn clear(&self, tid: usize) {
         for index in 0..self.k {
-            self.clear_one(tid, index);
+            if !self.load_own(tid, index).is_null() {
+                self.clear_one(tid, index);
+            }
         }
     }
 
@@ -110,8 +129,9 @@ impl<T> HpMatrix<T> {
     /// performed before retiring, so validation fails and the reader never
     /// dereferences. One fence per scan replaces one full barrier per slot.
     pub(crate) fn is_protected(&self, ptr: *mut T) -> bool {
-        self.slots
+        self.rows
             .iter()
+            .flat_map(|row| &row[..self.k])
             // ORDERING(mtx.scan-read): ACQUIRE — retire-scan slot read;
             // missing-hazard freedom comes from the caller's SC fence (doc
             // above), acquire additionally orders the reclaim after the
@@ -169,6 +189,53 @@ mod tests {
         assert!(!m.is_protected(p));
         // SAFETY: sole ownership — allocated by this test, freed exactly once.
         unsafe { drop(Box::from_raw(p)) };
+    }
+
+    /// A row's slots share one 128-byte line and no two rows share one: a
+    /// retire scan pulls one line per thread, and a protect or clear
+    /// dirties only its own thread's line.
+    #[test]
+    fn each_row_fills_one_line_of_its_own() {
+        const LINE: usize = 128;
+        let threads = 3;
+        let m: HpMatrix<u64> = HpMatrix::new(threads, ROW_SLOTS);
+        let line = |tid, index| m.slot(tid, index) as *const AtomicPtr<u64> as usize / LINE;
+        for tid in 0..threads {
+            for index in 1..ROW_SLOTS {
+                assert_eq!(
+                    line(tid, index),
+                    line(tid, 0),
+                    "row {tid}: slot {index} is off the row's line"
+                );
+            }
+            for other in 0..tid {
+                assert_ne!(
+                    line(tid, 0),
+                    line(other, 0),
+                    "rows {other} and {tid} share a line"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clear_after_protecting_one_slot_leaves_all_null() {
+        let m: HpMatrix<u32> = HpMatrix::new(2, 3);
+        let p = Box::into_raw(Box::new(5u32));
+        m.protect(0, 0, p);
+        m.clear(0);
+        for index in 0..3 {
+            assert!(m.peek(0, index).is_null(), "slot {index} not null");
+        }
+        assert!(!m.is_protected(p));
+        // SAFETY: sole ownership — allocated by this test, freed exactly once.
+        unsafe { drop(Box::from_raw(p)) };
+    }
+
+    #[test]
+    #[should_panic(expected = "at most ROW_SLOTS")]
+    fn more_slots_than_a_row_rejected() {
+        let _: HpMatrix<u32> = HpMatrix::new(1, ROW_SLOTS + 1);
     }
 
     #[test]

@@ -654,7 +654,8 @@ fn run_post(
 ///   post-publish fast interference to one in-flight op per other thread,
 ///   each costing at most one extra verification round (together:
 ///   `(2·mt + 4)·(12 + 2·mt)`);
-/// * hazard-pointer epilogue: `3·K + 4` (clear K slots, republish);
+/// * hazard-pointer epilogue: `3·K + 4` (clear: K own-slot reads plus ≤ K
+///   stores; republish);
 /// * retire scan (dequeue only): the R = 0 discipline caps the retired
 ///   backlog at `retired_bound(mt, K) = mt·K + 1` candidates, each
 ///   scanned against `mt·K` hazard slots plus list bookkeeping:

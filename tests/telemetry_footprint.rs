@@ -32,8 +32,10 @@ fn pairs(q: &TurnQueue<u64>, n: u64) {
 fn sheet_costs_at_most_the_queue_and_one_block_per_recording_thread() {
     // Probes on ≤ 2× probes off for an empty default queue: the sheet is
     // no bigger than everything else the queue allocates.
-    let (sheet_bytes, sheet) = bytes_during(|| TelemetrySheet::new(DEFAULT_MAX_THREADS));
-    drop(sheet);
+    let sheet_bytes = {
+        let (bytes, _sheet) = bytes_during(|| TelemetrySheet::new(DEFAULT_MAX_THREADS));
+        bytes
+    };
     let (queue_bytes, q) = bytes_during(TurnQueue::<u64>::new);
     let rest = queue_bytes - sheet_bytes;
     println!("empty TurnQueue::new(): {queue_bytes} B, of which the sheet {sheet_bytes} B");
