@@ -1,7 +1,7 @@
 //! The list node shared by the Turn queue and its MPSC/SPMC variants
 //! (paper Algorithm 1).
 
-use turnq_sync::atomic::{AtomicI32, AtomicPtr, AtomicU32};
+use turnq_sync::atomic::{AtomicI32, AtomicPtr};
 use turnq_sync::cell::UnsafeCell;
 use turnq_sync::ord;
 
@@ -42,55 +42,6 @@ pub(crate) fn decode_turn(raw: i32) -> i32 {
 pub(crate) fn is_fast_claim(raw: i32) -> bool {
     raw <= FAST_BASE
 }
-
-// --- Segment-cell encoding (segment-node execution mode, DESIGN.md §6d) ---
-//
-// In segment mode the linked node's payload is a `SegRing` (see `seg.rs`)
-// whose `cells` array holds K items. Each cell runs a tiny write-once state
-// machine; the state value *is* the encoding, so it lives here next to the
-// node's other field encodings (`IDX_NONE`, `FAST_BASE`).
-
-/// Cell has never been written: the producer holding the matching enqueue
-/// ticket may fill it; the consumer holding the matching dequeue ticket may
-/// poison it instead.
-pub(crate) const CELL_EMPTY: u32 = 0;
-/// The producer's item is stored and published; only the consumer holding
-/// the matching dequeue ticket may take it.
-pub(crate) const CELL_FULL: u32 = 1;
-/// The consumer arrived before the producer and burnt the cell; the
-/// producer takes its item back and retries elsewhere. Terminal.
-pub(crate) const CELL_POISONED: u32 = 2;
-/// The consumer took the item. Terminal.
-pub(crate) const CELL_TAKEN: u32 = 3;
-
-/// One item slot of a segment ring: a state word plus the item payload.
-///
-/// The state machine is `EMPTY → FULL → TAKEN` (the rendezvous succeeded)
-/// or `EMPTY → POISONED` (the consumer outran the producer). Exactly one
-/// producer (the unique holder of enqueue ticket `i`) and exactly one
-/// consumer (the unique holder of dequeue ticket `i`) ever touch cell `i` —
-/// FAA tickets are handed out once — so `item` has one writer and one
-/// reader, synchronized through `state`.
-pub(crate) struct SegCell<T> {
-    pub(crate) state: AtomicU32,
-    pub(crate) item: UnsafeCell<Option<T>>,
-}
-
-impl<T> SegCell<T> {
-    pub(crate) fn new() -> Self {
-        SegCell {
-            state: AtomicU32::new(CELL_EMPTY),
-            item: UnsafeCell::new(None),
-        }
-    }
-}
-
-// SAFETY(send-sync): the ticket discipline above gives `item` at most one writing
-// thread (the producer with the cell's enqueue ticket) and one reading
-// thread (the consumer with its dequeue ticket), ordered by the
-// release/acquire edges on `state` (`seg.rs`). `T: Send` because items
-// cross threads through the cell.
-unsafe impl<T: Send> Sync for SegCell<T> {}
 
 /// A singly-linked-list node carrying one item.
 ///

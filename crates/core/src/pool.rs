@@ -50,15 +50,22 @@
 //!
 //! A scan delivers at most the thread's whole retired backlog in one burst,
 //! and that backlog is bounded by
-//! [`retired_bound(max_threads, k)`](turnq_hazard::retired_bound) (plus the
-//! scan threshold `R` when nonzero). Sizing each free list to exactly that
-//! bound means a list can absorb the worst-case reclamation burst without
-//! overflowing, while keeping pooled memory bounded by
-//! `(max_threads + 1) × retired_bound` nodes per queue (every list plus the
-//! depot) — the same asymptotic class as the hazard-pointer backlog
-//! itself. Anything beyond that overflows to the allocator, and a capacity
-//! of 0 never touches the depot, so it reproduces the classic
-//! free-to-allocator behavior exactly.
+//! [`retired_bound(max_threads, k)`](turnq_hazard::retired_bound). Sizing
+//! each free list to exactly that bound means a list can absorb the
+//! worst-case reclamation burst without overflowing, while keeping pooled
+//! memory bounded by `(max_threads + 1) × retired_bound` nodes per queue
+//! (every list plus the depot) — the same asymptotic class as the
+//! hazard-pointer backlog itself. Anything beyond that overflows to the
+//! allocator, and a capacity of 0 never touches the depot, so it
+//! reproduces the classic free-to-allocator behavior exactly.
+//!
+//! In segment mode a pooled node keeps its ring, so each one holds a
+//! 512-byte node (the ring's two ticket counters on lines of their own)
+//! plus `seg_size × 16` bytes of cells for a word-sized item: 1,536 B at
+//! the default `seg_size` of 64. With `k = 3` hazard slots per thread the
+//! bound is `(512 + 64 × 16) × (max_threads + 1) × retired_bound(max_threads,
+//! 3)` bytes: 1,536 × 5 × 13 = 99,840 B at `max_threads = 4`, and
+//! 1,536 × 33 × 97 = 4,916,736 B (about 4.7 MiB) at the default 32.
 
 use std::ptr;
 use std::sync::Arc;

@@ -49,11 +49,16 @@ pub const DEFAULT_MAX_THREADS: usize = 32;
 pub const DEFAULT_FAST_TRIES: u32 = 4;
 
 /// Default segment size (items per linked node) for
-/// [`TurnQueueBuilder::build_seg`]: 16 cells amortize the consensus/HP/pool
-/// traffic ×16 while keeping a segment within a few cache lines.
-/// The paper-literal one-item-per-node queue is
+/// [`TurnQueueBuilder::build_seg`], picked by a benchmark sweep over 16,
+/// 32, 64 and 128 (EXPERIMENTS.md "Segment geometry"). 64 is the smallest
+/// size whose `stream` throughput (one producer, one consumer, where every
+/// segment boundary costs an append, a hazard-pointer revalidation and a
+/// pool round trip) is within 5 % of the best, and no segment-mode or
+/// sharded metric is worse there than at 16. A segment then holds a
+/// 512-byte node and 64 × 16 bytes of cells: 24 bytes per word-sized item,
+/// against 48 at 16. The paper-literal one-item-per-node queue is
 /// `.pool_capacity(0).fast_tries(0).build()`.
-pub const DEFAULT_SEG_SIZE: usize = 16;
+pub const DEFAULT_SEG_SIZE: usize = 64;
 
 /// A memory-unbounded multi-producer/multi-consumer wait-free queue.
 ///
@@ -1871,7 +1876,7 @@ mod tests {
     #[test]
     fn builder_defaults_match_the_constants() {
         assert_eq!(DEFAULT_FAST_TRIES, 4);
-        assert_eq!(DEFAULT_SEG_SIZE, 16);
+        assert_eq!(DEFAULT_SEG_SIZE, 64);
         let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).build();
         assert_eq!(q.fast_tries(), DEFAULT_FAST_TRIES);
         assert_eq!(

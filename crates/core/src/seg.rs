@@ -48,19 +48,19 @@
 //! [`TurnQueue`] ([`TurnQueueBuilder::build`]).
 
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
 use crossbeam_utils::CachePadded;
 use turnq_api::{
     ConcurrentQueue, PoolStats, Progress, QueueFamily, QueueIntrospect, QueueProps, SizeReport,
 };
-use turnq_sync::atomic::AtomicU64;
+use turnq_sync::atomic::{AtomicU32, AtomicU64};
+use turnq_sync::cell::UnsafeCell;
 use turnq_sync::ord;
 use turnq_telemetry::{CounterId, EventKind, OpKey, OpTimer, TelemetrySheet, TelemetrySnapshot};
 use turnq_threadreg::RegistryFull;
 
-use crate::node::{
-    encode_fast, Node, SegCell, CELL_EMPTY, CELL_FULL, CELL_POISONED, CELL_TAKEN, IDX_NONE,
-};
+use crate::node::{encode_fast, Node, IDX_NONE};
 use crate::queue::{TurnQueue, TurnQueueBuilder, DEFAULT_SEG_SIZE, HP_HEAD_TAIL};
 
 /// Bounded FAA claim budget per enqueue before the consensus append
@@ -113,16 +113,120 @@ impl<T> SegRing<T> {
     /// Re-initialize an exclusively-owned ring to the exact state
     /// [`seeded`](Self::seeded) produces, reusing the cells allocation.
     /// `&mut self` proves exclusivity, so plain stores are race-free; the
-    /// appending thread's linking CAS (release) publishes them.
+    /// appending thread's linking CAS (release) publishes them. Only the
+    /// state words are rewritten: a retired ring's cells are TAKEN or
+    /// POISONED, and `clear` drops an item only from a FULL cell.
     fn reset_seeded(&mut self, item: T) {
         *self.enq_idx.get_mut() = 1;
         *self.deq_idx.get_mut() = 0;
         for cell in self.cells.iter_mut() {
-            *cell.state.get_mut() = CELL_EMPTY;
-            *cell.item.get_mut() = None;
+            cell.clear();
         }
+        self.cells[0].item.get_mut().write(item);
         *self.cells[0].state.get_mut() = CELL_FULL;
-        *self.cells[0].item.get_mut() = Some(item);
+    }
+}
+
+/// Cell has never been written: the producer holding the matching enqueue
+/// ticket may fill it; the consumer holding the matching dequeue ticket may
+/// poison it instead.
+const CELL_EMPTY: u32 = 0;
+/// The producer's item is stored and published; only the consumer holding
+/// the matching dequeue ticket may take it.
+const CELL_FULL: u32 = 1;
+/// The consumer arrived before the producer and burnt the cell; the
+/// producer takes its item back and retries elsewhere. Terminal.
+const CELL_POISONED: u32 = 2;
+/// The consumer took the item. Terminal.
+const CELL_TAKEN: u32 = 3;
+
+/// One item slot of a segment ring: a state word plus the item payload.
+///
+/// The state machine is `EMPTY → FULL → TAKEN` (the rendezvous succeeded)
+/// or `EMPTY → POISONED` (the consumer outran the producer). Exactly one
+/// producer (the unique holder of enqueue ticket `i`) and exactly one
+/// consumer (the unique holder of dequeue ticket `i`) ever touch cell `i` —
+/// FAA tickets are handed out once — so `item` has one writer and one
+/// reader, synchronized through `state`.
+///
+/// The state word already says whether the cell owns an item, so the
+/// payload carries no tag of its own: `item` is initialised exactly while
+/// `state` is FULL. A POISONED cell may still hold the bytes of an item the
+/// producer took back, and a TAKEN one those of a delivered item; both are
+/// moved-from and are never dropped. The fields are private to this module
+/// because the drop relies on that pairing. With a `u64` item a cell is 16
+/// bytes, four to a 64-byte line.
+struct SegCell<T> {
+    state: AtomicU32,
+    item: UnsafeCell<MaybeUninit<T>>,
+}
+
+// SAFETY(send-sync): the ticket discipline above gives `item` at most one writing
+// thread (the producer with the cell's enqueue ticket) and one reading
+// thread (the consumer with its dequeue ticket), ordered by the
+// release/acquire edges on `state`. `T: Send` because items cross threads
+// through the cell.
+unsafe impl<T: Send> Sync for SegCell<T> {}
+
+impl<T> SegCell<T> {
+    fn new() -> Self {
+        SegCell {
+            state: AtomicU32::new(CELL_EMPTY),
+            item: UnsafeCell::new(MaybeUninit::uninit()),
+        }
+    }
+
+    /// Return an exclusively owned cell to EMPTY, dropping its item if it
+    /// still holds one (FULL). The state is reset before the drop, so an
+    /// item whose `Drop` panics is never dropped a second time.
+    fn clear(&mut self) {
+        if std::mem::replace(self.state.get_mut(), CELL_EMPTY) == CELL_FULL {
+            // SAFETY(drop-exclusive): `&mut self` — no other reference to
+            // the cell exists; FULL means the item is initialised and was
+            // neither taken nor handed back.
+            unsafe { self.item.get_mut().assume_init_drop() };
+        }
+    }
+
+    /// The producer half of the rendezvous: store `item` and publish FULL.
+    /// Returns the item when the consumer poisoned the cell first.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds this cell's enqueue ticket (won by the `enq_idx`
+    /// FAA), and the ring stays alive for the call.
+    unsafe fn publish(&self, item: T) -> Result<(), T> {
+        // SAFETY(claim-owner): the enqueue ticket makes us the cell's
+        // unique writer; the consumer side never reads `item` unless it
+        // observes FULL, published by the CAS below.
+        unsafe { (*self.item.get()).write(item) };
+        // ORDERING(sg.cell-publish): RELEASE / ACQUIRE — the
+        // rendezvous publish: release makes the item write above
+        // visible to the consumer's acquire read of FULL; on failure
+        // (consumer poisoned first) acquire orders our item take-back
+        // after its CAS, though only our own write is read back.
+        // pairs=sg.cell-read,sg.cell-poison
+        match self
+            .state
+            .compare_exchange(CELL_EMPTY, CELL_FULL, ord::RELEASE, ord::ACQUIRE)
+        {
+            Ok(_) => Ok(()),
+            Err(state) => {
+                // Only the dequeue-ticket holder can move the cell out of
+                // EMPTY besides us, and only to POISONED.
+                debug_assert_eq!(state, CELL_POISONED);
+                // SAFETY(claim-owner): a poisoned cell's consumer never
+                // reads `item`, and POISONED cells are never dropped, so
+                // the value written above is still ours to move out.
+                Err(unsafe { (*self.item.get()).assume_init_read() })
+            }
+        }
+    }
+}
+
+impl<T> Drop for SegCell<T> {
+    fn drop(&mut self) {
+        self.clear();
     }
 }
 
@@ -216,9 +320,8 @@ impl<T> SegTurnQueue<T> {
         let timer = self.inner.op_timer();
         tel.event(myidx, EventKind::OpStart, 0);
         let k = self.seg_size as u64;
-        // The item travels through the loop in an Option so a poisoned cell
-        // can hand it back for the next attempt.
-        let mut holder = Some(item);
+        // A poisoned cell hands the item back for the next attempt.
+        let mut item = item;
         let mut tries = 0u32;
         while tries < SEG_CLAIM_TRIES {
             tries += 1;
@@ -269,23 +372,11 @@ impl<T> SegTurnQueue<T> {
                 tel.bump(myidx, CounterId::SegEnqRetry);
                 continue;
             }
-            let cell = &ring.cells[e as usize];
             // SAFETY(claim-owner): we hold enqueue ticket `e` (won by the
-            // FAA above), the unique writer of `cells[e]`; the consumer
-            // side never touches `item` unless it observes FULL (published
-            // by the CAS below).
-            unsafe { *cell.item.get() = holder.take() };
-            // ORDERING(sg.cell-publish): RELEASE / ACQUIRE — the
-            // rendezvous publish: release makes the item write above
-            // visible to the consumer's acquire read of FULL; on failure
-            // (consumer poisoned first) acquire orders our item take-back
-            // after its CAS, though only our own write is read back.
-            // pairs=sg.cell-read,sg.cell-poison
-            match cell
-                .state
-                .compare_exchange(CELL_EMPTY, CELL_FULL, ord::RELEASE, ord::ACQUIRE)
-            {
-                Ok(_) => {
+            // FAA above), and HP keeps the ring alive through the
+            // publish, including a poisoned cell's item take-back.
+            match unsafe { ring.cells[e as usize].publish(item) } {
+                Ok(()) => {
                     // HP stays published (caching): the slot keeps
                     // covering ltail so the next op can skip the
                     // handshake. Cost: reclamation of at most one node
@@ -296,15 +387,8 @@ impl<T> SegTurnQueue<T> {
                     self.inner.record_enqueue(myidx, 0, &timer, OpKey::EnqSegCell);
                     return;
                 }
-                Err(state) => {
-                    // Only the dequeue-ticket holder can move the cell out
-                    // of EMPTY besides us, and only to POISONED.
-                    debug_assert_eq!(state, CELL_POISONED);
-                    // SAFETY(claim-owner): a poisoned cell's consumer
-                    // never reads `item`; we are still the unique ticket
-                    // holder, and HP still covers the ring.
-                    holder = unsafe { (*cell.item.get()).take() };
-                    debug_assert!(holder.is_some(), "poisoned cell must return the item");
+                Err(back) => {
+                    item = back;
                     tel.bump(myidx, CounterId::SegEnqRetry);
                 }
             }
@@ -313,7 +397,6 @@ impl<T> SegTurnQueue<T> {
         // same consensus machinery as a per-item enqueue (fast path first,
         // then Algorithm 2). Those paths manage HP themselves and record
         // the completed enqueue.
-        let item = holder.take().expect("claim loop always returns the item");
         let node = self.alloc_seg_node(myidx, item);
         // The consensus paths record the latency under their own keys
         // (EnqFast / EnqSlow / EnqHelped) with the segment op's timer, so
@@ -459,18 +542,19 @@ impl<T> SegTurnQueue<T> {
         // and observed FULL through an acquire edge: the producer's item
         // write is visible, it will never touch the cell again, and the
         // ring is still HP-protected (the slot stays published as a
-        // cache).
-        let item = unsafe { (*cell.item.get()).take() };
+        // cache). The TAKEN store below makes the moved-from bytes inert.
+        let item = unsafe { (*cell.item.get()).assume_init_read() };
         // ORDERING(sg.cell-taken): RELAXED — terminal marker: no
-        // protocol decision ever reads TAKEN (ring reset happens under
-        // exclusive ownership); it exists for debug assertions and
-        // post-mortem inspection.
+        // concurrent protocol decision reads TAKEN. Only `SegCell::clear`
+        // (ring reset or drop, both under exclusive ownership) reads it,
+        // to skip the moved-from item; the hazard-pointer hand-over that
+        // gives the reclaimer the ring orders this store before them.
         cell.state.store(CELL_TAKEN, ord::RELAXED);
         // HP stays published (caching) — see `enqueue_with`'s cell hit.
         tel.bump(myidx, CounterId::SegDeqCellHit);
         tel.event(myidx, EventKind::SegCellClaim, 1);
         self.inner.record_dequeue(myidx, 0, timer, OpKey::DeqSegCell);
-        item.expect("FULL cell must carry an item")
+        item
     }
 
     /// Racy-in-result but memory-safe emptiness probe: the segment version
@@ -721,6 +805,15 @@ mod tests {
     }
 
     #[test]
+    fn seg_cell_is_16_bytes_for_word_sized_items() {
+        // item(8) + state(4) + padding(4): the state word is the cell's
+        // only tag, so the payload needs no `Option` discriminant; four
+        // cells share a 64-byte line.
+        assert_eq!(std::mem::size_of::<SegCell<u64>>(), 16);
+        assert_eq!(std::mem::size_of::<SegCell<Box<u64>>>(), 16);
+    }
+
+    #[test]
     fn fifo_across_segment_boundaries() {
         // 100 items through 4-cell segments: 25 boundary appends and head
         // advances, every item in order.
@@ -806,33 +899,93 @@ mod tests {
         assert!(s.hits > 0, "appends must reuse pooled segments: {s:?}");
     }
 
+    /// An item that counts its own drops in a per-item slot, so a double
+    /// drop of one item cannot hide behind a missed drop of another.
+    struct Counted(usize, Arc<[AtomicUsize]>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1[self.0].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn drop_counts(n: usize) -> Arc<[AtomicUsize]> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn counts(drops: &[AtomicUsize]) -> Vec<usize> {
+        drops.iter().map(|d| d.load(Ordering::SeqCst)).collect()
+    }
+
     #[test]
     fn drop_with_items_left_frees_everything() {
-        struct D(Arc<AtomicUsize>);
-        impl Drop for D {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
+        // Each case leaves a head ring partly drained (its first cells
+        // TAKEN, the rest FULL), full rings behind it, and a tail ring
+        // whose FULL cells are followed by EMPTY ones. At the default K
+        // that is four segments.
+        let k = DEFAULT_SEG_SIZE;
+        for (seg, n, drained) in [(4, 10, 3), (k, 3 * k + k / 2, k / 2)] {
+            let drops = drop_counts(n);
+            let q: SegTurnQueue<Counted> = seg_queue(4, seg);
+            for id in 0..n {
+                q.enqueue(Counted(id, Arc::clone(&drops)));
             }
+            for id in 0..drained {
+                assert_eq!(q.dequeue().map(|c| c.0), Some(id));
+            }
+            let mut expected = vec![0; n];
+            expected[..drained].fill(1);
+            assert_eq!(counts(&drops), expected, "only the dequeued items dropped");
+            drop(q);
+            assert_eq!(counts(&drops), vec![1; n], "K = {seg}: dropped once");
         }
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let q: SegTurnQueue<D> = seg_queue(4, 4);
-            for _ in 0..10 {
-                q.enqueue(D(Arc::clone(&drops)));
+    }
+
+    #[test]
+    fn poisoned_producer_item_is_delivered_or_dropped_once() {
+        for deliver in [true, false] {
+            let drops = drop_counts(2);
+            let q: SegTurnQueue<Counted> = seg_queue(1, 4);
+            // A producer that drew its enqueue ticket and stalled before
+            // publishing the cell.
+            let tail = q.inner.tail.load(Ordering::SeqCst);
+            // SAFETY: single-threaded test; the queue owns the live tail.
+            let ring = unsafe { ring_of(tail) };
+            let e = ring.enq_idx.fetch_add(1, Ordering::SeqCst) as usize;
+            // The consumer holding the matching dequeue ticket finds the
+            // cell EMPTY, poisons it and reports the queue empty.
+            assert!(q.dequeue().is_none());
+            assert_eq!(ring.cells[e].state.load(Ordering::SeqCst), CELL_POISONED);
+            // The producer resumes: its publish fails and hands the item
+            // back, which it enqueues again, as `enqueue_with` retries.
+            // SAFETY: this thread holds ticket `e`; the ring is live.
+            let back = unsafe { ring.cells[e].publish(Counted(0, Arc::clone(&drops))) };
+            let back = back.expect_err("a poisoned cell returns the item");
+            assert_eq!(counts(&drops), [0, 0], "the take-back drops nothing");
+            q.enqueue(back);
+            q.enqueue(Counted(1, Arc::clone(&drops)));
+            if deliver {
+                assert_eq!(q.dequeue().map(|c| c.0), Some(0));
+                assert_eq!(counts(&drops), [1, 0]);
             }
-            for _ in 0..3 {
-                q.dequeue();
-            }
-            assert_eq!(drops.load(Ordering::SeqCst), 3);
+            // The poisoned cell still holds the moved-from item's bytes;
+            // only the item's live copy may be dropped.
+            drop(q);
+            assert_eq!(counts(&drops), [1, 1], "deliver={deliver}");
         }
-        // 3 dequeued + 7 still in cells when the queue dropped.
-        assert_eq!(drops.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn drop_survives_a_panicking_payload() {
-        let q: SegTurnQueue<crate::drop_probe::Item> = seg_queue(2, 4);
-        crate::drop_probe::assert_drop_frees_all(q, SegTurnQueue::enqueue, 10, 1);
+        // One FULL cell panics in drop: the other cells of its ring and
+        // every later segment must still drop. At K = 4 the panicking item
+        // sits in the head ring of three; at the default K it sits mid-ring
+        // with two full rings and one partial ring behind it.
+        let k = DEFAULT_SEG_SIZE;
+        for (seg, n, panic_id) in [(4, 10, 1), (k, 3 * k + 1, k / 2)] {
+            let q: SegTurnQueue<crate::drop_probe::Item> = seg_queue(2, seg);
+            crate::drop_probe::assert_drop_frees_all(q, SegTurnQueue::enqueue, n, panic_id);
+        }
     }
 
     #[test]

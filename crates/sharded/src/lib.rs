@@ -681,7 +681,10 @@ mod tests {
     #[test]
     fn pool_stats_sum_lanes_and_sweep_empty_counts() {
         let q: ShardedTurnQueue<u64> = ShardedBuilder::new().lanes(2).max_threads(2).build();
-        for v in 0..32u64 {
+        // One thread fills one home lane: past two segments, so at least
+        // two appends acquire a node whatever the default segment size.
+        let n = 2 * turn_queue::DEFAULT_SEG_SIZE as u64 + 1;
+        for v in 0..n {
             q.enqueue(v);
         }
         while q.dequeue().is_some() {}
@@ -695,7 +698,7 @@ mod tests {
             // The empty-drain dequeue plus the final one each swept every
             // lane without finding an item.
             assert!(snap.counter(CounterId::ShardSweepEmpty) >= 2);
-            assert_eq!(snap.counter(CounterId::DeqOps), 32);
+            assert_eq!(snap.counter(CounterId::DeqOps), n);
         }
     }
 
