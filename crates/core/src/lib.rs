@@ -70,6 +70,7 @@ mod seg;
 mod variants;
 
 pub use crturn_mutex::{CRTurnGuard, CRTurnMutex};
+pub use pool::POOL_LIST_BYTES;
 pub use queue::{
     TurnFamily, TurnHandle, TurnQueue, TurnQueueBuilder, DEFAULT_FAST_TRIES, DEFAULT_MAX_THREADS,
     DEFAULT_SEG_SIZE,

@@ -46,23 +46,35 @@
 //! threads may *read* them; the owner updates them with load+store),
 //! keeping the crate's CAS-only claim intact.
 //!
-//! ## Why the capacity is `retired_bound`
+//! ## Why the capacity is a byte budget
 //!
 //! A scan delivers at most the thread's whole retired backlog in one burst,
 //! and that backlog is bounded by
-//! [`retired_bound(max_threads, k)`](turnq_hazard::retired_bound). Sizing
-//! each free list to exactly that bound means a list can absorb the
-//! worst-case reclamation burst without overflowing, while keeping pooled
-//! memory bounded by `(max_threads + 1) × retired_bound` nodes per queue
-//! (every list plus the depot) — the same asymptotic class as the
-//! hazard-pointer backlog itself. Anything beyond that overflows to the
-//! allocator, and a capacity of 0 never touches the depot, so it
-//! reproduces the classic free-to-allocator behavior exactly.
+//! [`retired_bound(max_threads, k)`](turnq_hazard::retired_bound), so a
+//! list of at least that many nodes absorbs the worst-case reclamation
+//! burst. That bound is not what limits recycling, though. With split
+//! roles the depot moves one list per hand-over, while the queue's backlog
+//! swings by thousands of items between hand-overs; a list of
+//! `retired_bound` nodes (13 at `max_threads = 4`) fills long before the
+//! producer takes the depot's chain, and the surplus spills to the
+//! allocator only for the producer to allocate it again. So a per-item
+//! queue sizes each list by bytes: the default capacity is
+//! `max(retired_bound(max_threads, 3), POOL_LIST_BYTES / size_of::<Node<T>>())`
+//! nodes, 4,096 for a word-sized item (a 32-byte node) at any
+//! `max_threads` up to 1,365. A large `T` falls back to `retired_bound`.
 //!
-//! In segment mode a pooled node keeps its ring, so each one holds a
-//! 512-byte node (the ring's two ticket counters on lines of their own)
-//! plus `seg_size × 16` bytes of cells for a word-sized item: 1,536 B at
-//! the default `seg_size` of 64. With `k = 3` hazard slots per thread the
+//! Pooled memory stays bounded: every list plus the depot hold at most
+//! `(max_threads + 1) × capacity` nodes per queue, which for word-sized
+//! items is `(max_threads + 1) × 128 KiB`: 640 KiB at `max_threads = 4`
+//! and 4,224 KiB at the default 32, below segment mode's bound (next
+//! paragraph). Anything beyond that overflows to the allocator, and a
+//! capacity of 0 never touches the depot, so it reproduces the classic
+//! free-to-allocator behavior exactly.
+//!
+//! Segment mode keeps `retired_bound` lists: a pooled node keeps its ring,
+//! so each one already holds a 512-byte node (the ring's two ticket
+//! counters on lines of their own) plus `seg_size × 16` bytes of cells for
+//! a word-sized item: 1,536 B at the default `seg_size` of 64. With `k = 3` hazard slots per thread the
 //! bound is `(512 + 64 × 16) × (max_threads + 1) × retired_bound(max_threads,
 //! 3)` bytes: 1,536 × 5 × 13 = 99,840 B at `max_threads = 4`, and
 //! 1,536 × 33 × 97 = 4,916,736 B (about 4.7 MiB) at the default 32.
@@ -79,6 +91,16 @@ use turnq_hazard::ReclaimSink;
 use turnq_telemetry::{EventKind, TelemetryHandle};
 
 use crate::node::Node;
+
+/// Byte budget of one per-item free list (and of the depot's one chain):
+/// unless [`pool_capacity`](crate::TurnQueueBuilder::pool_capacity) says
+/// otherwise, a per-item queue's lists hold this many bytes of nodes, or
+/// the hazard backlog bound if that is more nodes (module docs). Picked by
+/// a benchmark sweep over 8, 32 and 128 KiB (EXPERIMENTS.md "Pool byte
+/// budget"): 128 KiB, 4,096 word-sized nodes, read the best split-role
+/// `stream` throughput, 9 % above 32 KiB. A larger budget would put the
+/// per-item pool bound above segment mode's at the default 32 threads.
+pub const POOL_LIST_BYTES: usize = 128 * 1024;
 
 /// One thread's free list plus its counters.
 ///

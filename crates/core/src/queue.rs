@@ -23,7 +23,7 @@ use turnq_telemetry::{
 use turnq_threadreg::{RegistryFull, ThreadRegistry};
 
 use crate::node::{decode_turn, encode_fast, is_fast_claim, Node, IDX_NONE};
-use crate::pool::{NodePool, PoolSink};
+use crate::pool::{NodePool, PoolSink, POOL_LIST_BYTES};
 
 /// Hazard slot for `tail` during enqueue and `head` during dequeue (the
 /// paper's `kHpTail`/`kHpHead` — one operation runs at a time per thread,
@@ -36,7 +36,7 @@ const HP_NEXT: usize = 1;
 /// (paper §2.4).
 const HP_DEQ: usize = 2;
 /// Hazard slots per thread.
-const HPS_PER_THREAD: usize = 3;
+pub(crate) const HPS_PER_THREAD: usize = 3;
 
 /// Default `MAX_THREADS` when none is given.
 pub const DEFAULT_MAX_THREADS: usize = 32;
@@ -167,8 +167,8 @@ unsafe impl<T: Send> Sync for TurnQueue<T> {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct TurnQueueBuilder {
-    max_threads: usize,
-    pool_capacity: Option<usize>,
+    pub(crate) max_threads: usize,
+    pub(crate) pool_capacity: Option<usize>,
     fast_tries: Option<u32>,
     panic_check: bool,
     stall_threshold_ns: u64,
@@ -213,11 +213,14 @@ impl TurnQueueBuilder {
         self
     }
 
-    /// Explicit per-thread node-pool capacity (0 disables recycling).
-    /// Unset, the pool defaults to
-    /// [`retired_bound`](turnq_hazard::retired_bound);
-    /// larger sizes buy nothing, since a free list can never receive more
-    /// nodes than the reclamation backlog bound.
+    /// Explicit per-thread node-pool capacity in nodes (0 disables
+    /// recycling). Unset, [`build`](Self::build) sizes each free list to
+    /// [`POOL_LIST_BYTES`](crate::POOL_LIST_BYTES) of nodes (4,096 for a
+    /// word-sized item), or to the hazard backlog bound
+    /// [`retired_bound`](turnq_hazard::retired_bound) when that is more;
+    /// [`build_seg`](Self::build_seg), whose pooled nodes carry a whole
+    /// ring, uses `retired_bound`. Pooled memory is at most
+    /// `(max_threads + 1) × capacity` nodes per queue.
     pub fn pool_capacity(mut self, capacity: usize) -> Self {
         self.pool_capacity = Some(capacity);
         self
@@ -354,10 +357,13 @@ impl TurnQueueBuilder {
             );
         }
         let registry_shared = registry.is_some();
-        // One free list can then absorb the worst-case reclamation burst a
-        // single scan may deliver (see `pool` module docs).
-        let pool_capacity = pool_capacity
-            .unwrap_or_else(|| turnq_hazard::retired_bound(max_threads, HPS_PER_THREAD));
+        // A byte budget of nodes, so a split-role hand-over moves enough
+        // to ride out the backlog's swings, and never less than the
+        // worst-case burst a single scan may deliver (`pool` module docs).
+        let pool_capacity = pool_capacity.unwrap_or_else(|| {
+            turnq_hazard::retired_bound(max_threads, HPS_PER_THREAD)
+                .max(POOL_LIST_BYTES / std::mem::size_of::<Node<T>>())
+        });
         let fast_tries = fast_tries.unwrap_or(DEFAULT_FAST_TRIES);
         let mk_slots = || {
             (0..max_threads)
@@ -1879,10 +1885,22 @@ mod tests {
         assert_eq!(DEFAULT_SEG_SIZE, 64);
         let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).build();
         assert_eq!(q.fast_tries(), DEFAULT_FAST_TRIES);
+        // A per-item list holds `POOL_LIST_BYTES` of nodes, since that is
+        // more than the hazard backlog bound.
         assert_eq!(
             q.pool_capacity(),
-            turnq_hazard::retired_bound(2, HPS_PER_THREAD)
+            POOL_LIST_BYTES / std::mem::size_of::<Node<u32>>()
         );
+        assert!(q.pool_capacity() > turnq_hazard::retired_bound(2, HPS_PER_THREAD));
+        // A word-sized item has a 32-byte node: 4,096 nodes per list at any
+        // thread count whose backlog bound is smaller.
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 32);
+        for max_threads in [1, 4, DEFAULT_MAX_THREADS] {
+            let q: TurnQueue<u64> = TurnQueueBuilder::new().max_threads(max_threads).build();
+            assert_eq!(q.pool_capacity(), 4_096);
+        }
+        // Segment mode keeps the backlog bound
+        // (`seg::tests::pool_keeps_the_backlog_bound_not_the_byte_budget`).
         // The shorthand constructors are thin wrappers over the builder,
         // so they inherit the same defaults.
         let q1: TurnQueue<u32> = TurnQueue::with_max_threads(3);
@@ -1895,6 +1913,31 @@ mod tests {
         assert_eq!(q2.fast_tries(), DEFAULT_FAST_TRIES);
         assert_eq!(q2.max_threads(), 3);
         assert_eq!(q2.pool_capacity(), 8);
+    }
+
+    #[test]
+    fn a_large_item_falls_back_to_the_backlog_bound() {
+        // 16 KiB items leave room for only a few nodes in the byte budget,
+        // fewer than one scan may deliver, so the list keeps the backlog
+        // bound.
+        type Big = [u8; 16 * 1024];
+        assert!(
+            POOL_LIST_BYTES / std::mem::size_of::<Node<Big>>()
+                < turnq_hazard::retired_bound(4, HPS_PER_THREAD)
+        );
+        for max_threads in [4, DEFAULT_MAX_THREADS] {
+            let q: TurnQueue<Big> = TurnQueueBuilder::new().max_threads(max_threads).build();
+            assert_eq!(
+                q.pool_capacity(),
+                turnq_hazard::retired_bound(max_threads, HPS_PER_THREAD)
+            );
+        }
+        // An explicit capacity still wins over either default.
+        let q: TurnQueue<Big> = TurnQueueBuilder::new()
+            .max_threads(4)
+            .pool_capacity(2)
+            .build();
+        assert_eq!(q.pool_capacity(), 2);
     }
 
     #[test]

@@ -61,7 +61,9 @@ use turnq_telemetry::{CounterId, EventKind, OpKey, OpTimer, TelemetrySheet, Tele
 use turnq_threadreg::RegistryFull;
 
 use crate::node::{encode_fast, Node, IDX_NONE};
-use crate::queue::{TurnQueue, TurnQueueBuilder, DEFAULT_SEG_SIZE, HP_HEAD_TAIL};
+use crate::queue::{
+    TurnQueue, TurnQueueBuilder, DEFAULT_SEG_SIZE, HPS_PER_THREAD, HP_HEAD_TAIL,
+};
 
 /// Bounded FAA claim budget per enqueue before the consensus append
 /// (mirrors `fast_tries`): each attempt is a constant number of steps, so
@@ -602,6 +604,12 @@ impl<T: Send> SegTurnQueue<T> {
         // Retired segments keep their ring allocation through the pool so
         // a steady-state append reuses both the node and the cells array.
         builder.pool_retain_payload = true;
+        // A pooled segment already carries a `k`-cell ring, so its lists
+        // stay at the hazard backlog bound, not the per-item byte budget.
+        builder.pool_capacity.get_or_insert(turnq_hazard::retired_bound(
+            builder.max_threads,
+            HPS_PER_THREAD,
+        ));
         let inner: TurnQueue<SegRing<T>> = builder.build();
         // Seed the sentinel with an empty ring: in segment mode the head
         // node's payload is *live* (it is the active dequeue segment, not a
@@ -811,6 +819,27 @@ mod tests {
         // cells share a 64-byte line.
         assert_eq!(std::mem::size_of::<SegCell<u64>>(), 16);
         assert_eq!(std::mem::size_of::<SegCell<Box<u64>>>(), 16);
+    }
+
+    #[test]
+    fn pool_keeps_the_backlog_bound_not_the_byte_budget() {
+        // Each pooled segment already carries a whole ring, so its lists
+        // stay at `retired_bound` while per-item lists hold
+        // `POOL_LIST_BYTES` of nodes; an explicit capacity still wins.
+        for max_threads in [2, 4, crate::DEFAULT_MAX_THREADS] {
+            let q: SegTurnQueue<u64> = TurnQueueBuilder::new()
+                .max_threads(max_threads)
+                .build_seg();
+            assert_eq!(
+                q.inner.pool_capacity(),
+                turnq_hazard::retired_bound(max_threads, HPS_PER_THREAD)
+            );
+        }
+        let q: SegTurnQueue<u64> = TurnQueueBuilder::new()
+            .max_threads(4)
+            .pool_capacity(100)
+            .build_seg();
+        assert_eq!(q.inner.pool_capacity(), 100);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! * with split roles, nodes travel from consumers to producers through
 //!   the pool's depot, so recycled nodes change threads while other threads
 //!   still race on the list — a 4-producer/4-consumer hammer checks
-//!   exactly-once delivery under that pressure.
+//!   exactly-once delivery under that pressure;
+//! * pooled memory stays within `(max_threads + 1) × capacity` nodes while
+//!   split roles recycle through the depot.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use turn_queue::{TurnQueue, TurnQueueBuilder};
 
@@ -159,19 +162,53 @@ fn aba_hammer_eight_threads_delivers_exactly_once() {
 /// depot by a consumer's scan: recycled addresses cross threads while the
 /// queue is live. The exactly-once check fails if a hand-over ever gave a
 /// chain to two threads or published a node before its links were settled.
+///
+/// The hand-over is forced, not hoped for. The producers enqueue half
+/// their items and wait until all of them are dequeued. A consumer's list
+/// reaches the depot only once it has released `capacity + 1` nodes, and
+/// the first half is large enough that at least one consumer must have
+/// done so however the items split between consumers. So when the
+/// producers resume, either one of them already took the depot's chain or
+/// the chain is still there for their next acquire.
 #[test]
 fn split_roles_four_by_four_deliver_exactly_once() {
     const PRODUCERS: u64 = 4;
     const CONSUMERS: usize = 4;
-    const PER_PRODUCER: u64 = 5_000;
+    const PER_PRODUCER: u64 = 10_000;
+    const HALF: u64 = PER_PRODUCER / 2;
     const TOTAL: usize = (PRODUCERS * PER_PRODUCER) as usize;
-    let q: TurnQueue<u64> = TurnQueue::with_max_threads(PRODUCERS as usize + CONSUMERS);
+    const WAIT: Duration = Duration::from_secs(60);
+    let max_threads = PRODUCERS as usize + CONSUMERS;
+    let q: TurnQueue<u64> = TurnQueue::with_max_threads(max_threads);
+    // Every node the head has passed is retired by some consumer, which
+    // has released all it retired but its backlog (at most
+    // `retired_bound`, with 3 hazard slots a thread) and the two request
+    // nodes a slow-path dequeue keeps for later; the head node itself is
+    // still live.
+    let held_back = CONSUMERS * (turnq_hazard::retired_bound(max_threads, 3) + 2) + 1;
+    let deposit_after = CONSUMERS * (q.pool_capacity() + 1);
+    assert!(
+        (PRODUCERS * HALF) as usize >= held_back + deposit_after,
+        "the first half is too small to force a deposit"
+    );
     let taken = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let mut all: Vec<u64> = std::thread::scope(|s| {
         for p in 0..PRODUCERS {
-            let q = &q;
+            let (q, taken, stop) = (&q, &taken, &stop);
             s.spawn(move || {
-                for i in 0..PER_PRODUCER {
+                for i in 0..HALF {
+                    q.enqueue(p << 32 | i);
+                }
+                let deadline = Instant::now() + WAIT;
+                while taken.load(Ordering::SeqCst) < (PRODUCERS * HALF) as usize {
+                    if Instant::now() > deadline {
+                        stop.store(true, Ordering::SeqCst);
+                        panic!("the first half was not dequeued within {WAIT:?}");
+                    }
+                    std::thread::yield_now();
+                }
+                for i in HALF..PER_PRODUCER {
                     q.enqueue(p << 32 | i);
                 }
             });
@@ -180,7 +217,7 @@ fn split_roles_four_by_four_deliver_exactly_once() {
             .map(|_| {
                 s.spawn(|| {
                     let mut got = Vec::new();
-                    while taken.load(Ordering::SeqCst) < TOTAL {
+                    while taken.load(Ordering::SeqCst) < TOTAL && !stop.load(Ordering::SeqCst) {
                         match q.dequeue() {
                             Some(v) => {
                                 got.push(v);
@@ -205,4 +242,49 @@ fn split_roles_four_by_four_deliver_exactly_once() {
     assert_eq!(all, expected, "every item delivered exactly once");
     let s = q.pool_stats();
     assert!(s.hits > 0, "no node ever reached a producer through the depot: {s:?}");
+}
+
+/// Pooled memory stays within `(max_threads + 1) × capacity` nodes (every
+/// free list plus the depot's one chain) while a dedicated producer and a
+/// dedicated consumer recycle through the depot, and after they stop.
+/// The producer runs ahead unthrottled, so the consumer's scans keep its
+/// list full and the depot busy: the gauge sits near its bound.
+#[test]
+fn split_role_pool_stays_within_its_bound() {
+    const ITEMS: u64 = 200_000;
+    let q: TurnQueue<u64> = TurnQueue::with_max_threads(4);
+    let bound = (q.max_threads() as u64 + 1) * q.pool_capacity() as u64;
+    let done = AtomicBool::new(false);
+    let (mut peak, mut samples) = (0, 0u64);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..ITEMS {
+                q.enqueue(i);
+            }
+        });
+        s.spawn(|| {
+            let mut next = 0;
+            while next < ITEMS {
+                match q.dequeue() {
+                    Some(v) => {
+                        assert_eq!(v, next, "single producer, single consumer: FIFO order");
+                        next += 1;
+                    }
+                    None => std::hint::spin_loop(),
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        while !done.load(Ordering::SeqCst) {
+            peak = peak.max(q.pool_stats().pooled_now);
+            samples += 1;
+            std::thread::yield_now();
+        }
+    });
+    let after = q.pool_stats();
+    println!("{samples} samples, peak {peak} pooled nodes, bound {bound}, after {after:?}");
+    assert!(peak <= bound, "pooled {peak} nodes during traffic, bound {bound}");
+    let now = after.pooled_now;
+    assert!(now <= bound, "pooled {now} nodes after traffic, bound {bound}");
+    assert!(after.recycled > 0, "the run never exercised the pool: {after:?}");
 }
