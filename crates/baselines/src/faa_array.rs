@@ -28,7 +28,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::HazardPointers;
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -146,7 +146,6 @@ impl<T> FaaArrayQueue<T> {
         let tid = self.registry.current_index();
         // Single-path baseline: all latency lands under the slow-path key.
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 0);
         let item_ptr = Box::into_raw(Box::new(item));
         loop {
             let ltail = match self.hp.try_protect(tid, HP_NODE, &self.tail) {
@@ -194,14 +193,11 @@ impl<T> FaaArrayQueue<T> {
                         );
                         self.hp.clear(tid);
                         self.telemetry.bump(tid, CounterId::EnqOps);
-                        self.telemetry.event(tid, EventKind::OpFinish, 0);
                         self.telemetry
                             .record_latency(tid, OpKey::EnqSlow, timer.nanos());
                         return;
                     }
                     self.telemetry.bump(tid, CounterId::CasFailNext);
-                    self.telemetry
-                        .event(tid, EventKind::CasFail, CounterId::CasFailNext as u64);
                     // Lost the append race: reclaim our speculative node
                     // (nobody saw it) but keep the item for the next round.
                     // SAFETY(node-unpublished): new_node never escaped; clear cell 0 first so
@@ -235,7 +231,6 @@ impl<T> FaaArrayQueue<T> {
             {
                 self.hp.clear(tid);
                 self.telemetry.bump(tid, CounterId::EnqOps);
-                self.telemetry.event(tid, EventKind::OpFinish, 0);
                 self.telemetry
                     .record_latency(tid, OpKey::EnqSlow, timer.nanos());
                 return;
@@ -248,7 +243,6 @@ impl<T> FaaArrayQueue<T> {
     pub fn dequeue(&self) -> Option<T> {
         let tid = self.registry.current_index();
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 1);
         loop {
             let lhead = match self.hp.try_protect(tid, HP_NODE, &self.head) {
                 Ok(p) => p,
@@ -266,7 +260,6 @@ impl<T> FaaArrayQueue<T> {
             {
                 self.hp.clear(tid);
                 self.telemetry.bump(tid, CounterId::DeqEmpty);
-                self.telemetry.event(tid, EventKind::OpFinish, 0);
                 self.telemetry
                     .record_latency(tid, OpKey::DeqSlow, timer.nanos());
                 return None;
@@ -283,7 +276,6 @@ impl<T> FaaArrayQueue<T> {
                 if lnext.is_null() {
                     self.hp.clear(tid);
                     self.telemetry.bump(tid, CounterId::DeqEmpty);
-                    self.telemetry.event(tid, EventKind::OpFinish, 0);
                     self.telemetry
                         .record_latency(tid, OpKey::DeqSlow, timer.nanos());
                     return None;
@@ -318,7 +310,6 @@ impl<T> FaaArrayQueue<T> {
             }
             self.hp.clear(tid);
             self.telemetry.bump(tid, CounterId::DeqOps);
-            self.telemetry.event(tid, EventKind::OpFinish, 0);
             self.telemetry
                 .record_latency(tid, OpKey::DeqSlow, timer.nanos());
             // SAFETY(claim-owner): unique swap winner (our FAA ticket) for

@@ -20,7 +20,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::HazardPointers;
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -118,7 +118,6 @@ impl<T> MSQueue<T> {
     pub(crate) fn enqueue_with(&self, tid: usize, item: T) {
         // Single-path baseline: all latency lands under the slow-path key.
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 0);
         let node = MsNode::alloc(Some(item));
         loop {
             let ltail = match self.hp.try_protect(tid, HP_HEAD_TAIL, &self.tail) {
@@ -164,8 +163,6 @@ impl<T> MSQueue<T> {
                     break;
                 }
                 self.telemetry.bump(tid, CounterId::CasFailNext);
-                self.telemetry
-                    .event(tid, EventKind::CasFail, CounterId::CasFailNext as u64);
             } else {
                 // Help swing a lagging tail.
                 // ORDERING(ms.tail-swing): SEQ_CST / RELAXED — tail swing
@@ -177,14 +174,12 @@ impl<T> MSQueue<T> {
         }
         self.hp.clear(tid);
         self.telemetry.bump(tid, CounterId::EnqOps);
-        self.telemetry.event(tid, EventKind::OpFinish, 0);
         self.telemetry
             .record_latency(tid, OpKey::EnqSlow, timer.nanos());
     }
 
     pub(crate) fn dequeue_with(&self, tid: usize) -> Option<T> {
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 1);
         loop {
             let lhead = match self.hp.try_protect(tid, HP_HEAD_TAIL, &self.head) {
                 Ok(p) => p,
@@ -210,7 +205,6 @@ impl<T> MSQueue<T> {
                 if lnext.is_null() {
                     self.hp.clear(tid);
                     self.telemetry.bump(tid, CounterId::DeqEmpty);
-                    self.telemetry.event(tid, EventKind::OpFinish, 0);
                     self.telemetry
                         .record_latency(tid, OpKey::DeqSlow, timer.nanos());
                     return None; // observed empty
@@ -245,14 +239,11 @@ impl<T> MSQueue<T> {
                 // only the CAS winner retires it.
                 unsafe { self.hp.retire(tid, lhead) };
                 self.telemetry.bump(tid, CounterId::DeqOps);
-                self.telemetry.event(tid, EventKind::OpFinish, 0);
                 self.telemetry
                     .record_latency(tid, OpKey::DeqSlow, timer.nanos());
                 return item;
             }
             self.telemetry.bump(tid, CounterId::CasFailHead);
-            self.telemetry
-                .event(tid, EventKind::CasFail, CounterId::CasFailHead as u64);
         }
     }
 }

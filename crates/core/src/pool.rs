@@ -88,7 +88,6 @@ use turnq_sync::ord;
 use crossbeam_utils::CachePadded;
 use turnq_api::PoolStats;
 use turnq_hazard::ReclaimSink;
-use turnq_telemetry::{EventKind, TelemetryHandle};
 
 use crate::node::Node;
 
@@ -179,10 +178,6 @@ pub(crate) struct NodePool<T> {
     /// retain mode every retained ring's cells are already item-free (all
     /// TAKEN/POISONED before the segment is retired).
     retain_payload: bool,
-    /// Observer-only probes: hit/miss/refill ring events. The exact
-    /// hit/miss *counters* stay on the slots above (single source of
-    /// truth); the owning queue folds them into telemetry snapshots.
-    telemetry: TelemetryHandle,
 }
 
 // SAFETY(send-sync): slot `i` is only accessed by the thread registered at index `i`
@@ -206,14 +201,7 @@ impl<T> NodePool<T> {
             depot: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             capacity,
             retain_payload: false,
-            telemetry: TelemetryHandle::disconnected(),
         }
-    }
-
-    /// Emit hit/miss/refill events into `handle`'s sheet. Must run before
-    /// the pool is shared (the queue constructor attaches pre-`Arc`).
-    pub(crate) fn attach_telemetry(&mut self, handle: TelemetryHandle) {
-        self.telemetry = handle;
     }
 
     /// Switch the pool into segment mode: released nodes keep their payload
@@ -245,7 +233,6 @@ impl<T> NodePool<T> {
         let len = if head.is_null() {
             let Some(chain) = self.take_depot() else {
                 bump(&slot.misses);
-                self.telemetry.event(tid, EventKind::PoolMiss, 0);
                 return None;
             };
             *head = chain;
@@ -264,7 +251,6 @@ impl<T> NodePool<T> {
         // of the free list's length; readers are racy by contract.
         slot.len.store(len - 1, ord::RELAXED);
         bump(&slot.hits);
-        self.telemetry.event(tid, EventKind::PoolHit, 0);
         Some(node)
     }
 
@@ -317,7 +303,6 @@ impl<T> NodePool<T> {
         // as in acquire.
         slot.len.store(len + 1, ord::RELAXED);
         bump(&slot.recycled);
-        self.telemetry.event(tid, EventKind::PoolRefill, 0);
     }
 
     /// Hand a full list (`capacity` nodes) to the depot if it is empty.

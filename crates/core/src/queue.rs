@@ -18,7 +18,7 @@ use turnq_api::{
 };
 use turnq_hazard::HazardPointers;
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::{RegistryFull, ThreadRegistry};
 
@@ -109,10 +109,10 @@ pub struct TurnQueue<T> {
     /// front-end would otherwise fold the same registry once per lane).
     registry_shared: bool,
     /// Observer-only telemetry sheet: op/helping/CAS-fail counters, the
-    /// helping-depth histogram, and per-thread event rings. Shared (via
-    /// handles) with the hazard domain and the node pool. Recording is
-    /// plain owner-only stores — see `turnq-telemetry` for why this cannot
-    /// affect wait-freedom or the CAS-only claim. An inert shell when the
+    /// helping-depth histogram, and latency histograms. Shared (via a
+    /// handle) with the hazard domain. Recording is plain owner-only
+    /// stores — see `turnq-telemetry` for why this cannot affect
+    /// wait-freedom or the CAS-only claim. An inert shell when the
     /// `telemetry` feature is off.
     pub(crate) telemetry: Arc<TelemetrySheet>,
     /// Fast-path retry budget (DESIGN.md §6c): how many direct MS-style CAS
@@ -130,16 +130,12 @@ pub struct TurnQueue<T> {
     panic_check: bool,
     /// Stall-watchdog threshold in nanoseconds (`u64::MAX` = disabled):
     /// when a completed operation's measured latency reaches it, the
-    /// flight recorder dumps a structured report (consensus-array request
-    /// states plus the per-thread event rings) into the telemetry sheet.
+    /// flight recorder dumps a structured report (the stalled op and the
+    /// consensus-array request states) into the telemetry sheet.
     /// Checked once per completed op on an already-recorded latency, so
     /// the wait-free bound is unaffected. Armed, it makes every op read
     /// the clock instead of the sampled ~1 in 64 ([`TurnQueue::op_timer`]).
     stall_threshold_ns: u64,
-    /// Test-only injected busy-wait (nanoseconds, 0 = off) before an
-    /// operation's finish is recorded, so the stall watchdog can be
-    /// provoked deterministically. Bounded spin — wait-freedom holds.
-    inject_op_delay_ns: u64,
 }
 
 // SAFETY(send-sync): all shared mutable state is atomics; raw node pointers are
@@ -172,7 +168,6 @@ pub struct TurnQueueBuilder {
     fast_tries: Option<u32>,
     panic_check: bool,
     stall_threshold_ns: u64,
-    inject_op_delay_ns: u64,
     pub(crate) seg_size: Option<usize>,
     pub(crate) seg_drained_guard: bool,
     /// Set by [`build_seg`](Self::build_seg)'s path only: the inner queue's
@@ -189,7 +184,6 @@ impl Default for TurnQueueBuilder {
             fast_tries: None,
             panic_check: true,
             stall_threshold_ns: u64::MAX,
-            inject_op_delay_ns: 0,
             seg_size: None,
             seg_drained_guard: true,
             pool_retain_payload: false,
@@ -255,8 +249,8 @@ impl TurnQueueBuilder {
 
     /// Stall-watchdog threshold in nanoseconds: a completed operation
     /// whose measured wall-clock latency reaches `ns` triggers the flight
-    /// recorder — a structured JSON report of the consensus-array request
-    /// states and the per-thread event rings, retrievable through
+    /// recorder — a structured JSON report of the stalled op and the
+    /// consensus-array request states, retrievable through
     /// [`TelemetrySheet::take_stall_reports`]. `u64::MAX` (the default)
     /// disables the watchdog; any threshold is observer-only and cannot
     /// affect wait-freedom (the check is one compare on a latency the
@@ -268,17 +262,6 @@ impl TurnQueueBuilder {
     /// telemetry `probe` feature is off.
     pub fn stall_threshold_ns(mut self, ns: u64) -> Self {
         self.stall_threshold_ns = ns;
-        self
-    }
-
-    /// Test-only: busy-wait `ns` nanoseconds inside every operation just
-    /// before its finish is recorded, inflating the measured latency so
-    /// the stall watchdog can be provoked deterministically. Bounded
-    /// spin, so the wait-free bound gains a constant; never set it in
-    /// production.
-    #[doc(hidden)]
-    pub fn inject_op_delay_for_tests(mut self, ns: u64) -> Self {
-        self.inject_op_delay_ns = ns;
         self
     }
 
@@ -337,7 +320,6 @@ impl TurnQueueBuilder {
             fast_tries,
             panic_check,
             stall_threshold_ns,
-            inject_op_delay_ns,
             seg_size: _,
             seg_drained_guard: _,
             pool_retain_payload,
@@ -388,7 +370,6 @@ impl TurnQueueBuilder {
         }
         let telemetry = Arc::new(TelemetrySheet::new(max_threads));
         let mut pool = NodePool::new(max_threads, pool_capacity);
-        pool.attach_telemetry(TelemetryHandle::connected(&telemetry));
         pool.set_retain_payload(pool_retain_payload);
         let pool = Arc::new(pool);
         let mut hp = HazardPointers::with_sink(
@@ -412,7 +393,6 @@ impl TurnQueueBuilder {
             fast_tries,
             panic_check,
             stall_threshold_ns,
-            inject_op_delay_ns,
         }
     }
 
@@ -502,9 +482,9 @@ impl<T> TurnQueue<T> {
         snap
     }
 
-    /// The raw telemetry sheet (per-thread event rings, thread-level
-    /// counters). Prefer [`telemetry_snapshot`](Self::telemetry_snapshot)
-    /// for aggregates.
+    /// The raw telemetry sheet (thread-level counters, stall reports).
+    /// Prefer [`telemetry_snapshot`](Self::telemetry_snapshot) for
+    /// aggregates.
     pub fn telemetry(&self) -> &TelemetrySheet {
         &self.telemetry
     }
@@ -564,7 +544,7 @@ impl<T> TurnQueue<T> {
     }
 
     /// Record a finished enqueue: ops counter, helping-depth histogram
-    /// bucket, the finish event, and the path-attributed latency sample.
+    /// bucket, and the path-attributed latency sample.
     /// `depth` is the helping-loop iteration at which this thread
     /// *observed* its request complete — by Inv. 5 always at most
     /// `max_threads - 1`, the paper's overtaking bound.
@@ -572,7 +552,6 @@ impl<T> TurnQueue<T> {
     pub(crate) fn record_enqueue(&self, myidx: usize, depth: usize, timer: &OpTimer, key: OpKey) {
         self.telemetry.bump(myidx, CounterId::EnqOps);
         self.telemetry.record_depth(myidx, depth);
-        self.telemetry.event(myidx, EventKind::OpFinish, depth as u64);
         self.finish_op(myidx, timer, key);
     }
 
@@ -600,14 +579,6 @@ impl<T> TurnQueue<T> {
     /// (threshold `u64::MAX`) samples.
     #[inline]
     pub(crate) fn finish_op(&self, myidx: usize, timer: &OpTimer, key: OpKey) {
-        if self.inject_op_delay_ns > 0 {
-            // Test-only seeded stall: a *bounded* spin, so the wait-free
-            // bound gains a constant (never enabled in production).
-            let start = std::time::Instant::now();
-            while (start.elapsed().as_nanos() as u64) < self.inject_op_delay_ns {
-                turnq_sync::hint::spin_loop();
-            }
-        }
         let nanos = timer.nanos();
         self.telemetry.record_latency(myidx, key, nanos);
         if turnq_telemetry::ENABLED && nanos >= self.stall_threshold_ns {
@@ -615,30 +586,27 @@ impl<T> TurnQueue<T> {
         }
     }
 
-    /// The stall watchdog fired: count it, ring it, and dump the flight
+    /// The stall watchdog fired: count it and dump the flight
     /// recorder — a JSON report of who was doing what when the op
     /// overran its threshold. `#[cold]`: never on a healthy hot path.
     #[cold]
     fn flight_record(&self, myidx: usize, key: OpKey, nanos: u64) {
         self.telemetry.bump(myidx, CounterId::StallDump);
-        self.telemetry.event(myidx, EventKind::StallDump, nanos);
         let report = self.stall_report_json(myidx, key, nanos);
         // Best-effort by design: a lost report under report-storm
         // contention only loses observability, never progress.
         let _ = self.telemetry.report_stall(report);
     }
 
-    /// Build the flight-recorder "black box": the stalled op's identity,
-    /// the consensus-array request states (which threads have open
-    /// enqueue/dequeue requests right now), and every thread's recent
-    /// event trail, with the stalled thread's last events called out.
+    /// Build the flight-recorder "black box": the stalled op's identity
+    /// and the consensus-array request states (which threads have open
+    /// enqueue/dequeue requests right now).
     fn stall_report_json(&self, myidx: usize, key: OpKey, nanos: u64) -> String {
         use std::fmt::Write as _;
-        const LAST_K: usize = 16;
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
-            "{{\"schema\":\"turnq-stall-report/1\",\"thread\":{myidx},\
+            "{{\"schema\":\"turnq-stall-report/2\",\"thread\":{myidx},\
              \"op\":\"{}\",\"path\":\"{}\",\"latency_ns\":{nanos},\
              \"threshold_ns\":{},\"requests\":[",
             key.op(),
@@ -654,32 +622,6 @@ impl<T> TurnQueue<T> {
                 self.dequeue_request_open(tid),
             );
         }
-        out.push_str("],\"events\":{");
-        for tid in 0..self.max_threads {
-            let _ = write!(out, "{}\"{tid}\":[", if tid == 0 { "" } else { "," });
-            for (i, ev) in self.telemetry.events(tid).iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{{\"kind\":\"{}\",\"arg\":{}}}",
-                    if i == 0 { "" } else { "," },
-                    ev.kind.name(),
-                    ev.arg
-                );
-            }
-            out.push(']');
-        }
-        out.push_str("},\"stalled_thread_events\":[");
-        let trail = self.telemetry.events(myidx);
-        let tail = trail.len().saturating_sub(LAST_K);
-        for (i, ev) in trail[tail..].iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"kind\":\"{}\",\"arg\":{}}}",
-                if i == 0 { "" } else { "," },
-                ev.kind.name(),
-                ev.arg
-            );
-        }
         out.push_str("]}");
         out
     }
@@ -689,7 +631,6 @@ impl<T> TurnQueue<T> {
     pub(crate) fn enqueue_with(&self, myidx: usize, item: T) {
         debug_assert!(myidx < self.max_threads);
         let timer = self.op_timer();
-        self.telemetry.event(myidx, EventKind::OpStart, 0);
         let my_node = self.alloc_node(myidx, Some(item)); // line 3
         if self.fast_tries > 0 && self.try_fast_enqueue(myidx, my_node, &timer) {
             return;
@@ -769,12 +710,9 @@ impl<T> TurnQueue<T> {
                         .is_err()
                     {
                         self.telemetry.bump(myidx, CounterId::CasFailTail);
-                        self.telemetry
-                            .event(myidx, EventKind::CasFail, CounterId::CasFailTail as u64);
                     }
                     self.hp.clear(myidx);
                     self.telemetry.bump(myidx, CounterId::FastEnqHit);
-                    self.telemetry.event(myidx, EventKind::FastHit, 0);
                     self.record_enqueue(myidx, 0, timer, OpKey::EnqFast);
                     return true;
                 }
@@ -806,7 +744,6 @@ impl<T> TurnQueue<T> {
         // every linking CAS above failed.
         unsafe { (*my_node).enq_tid = myidx as u32 };
         self.telemetry.bump(myidx, CounterId::FastEnqFallback);
-        self.telemetry.event(myidx, EventKind::FastFallback, 0);
         false
     }
 
@@ -944,16 +881,10 @@ impl<T> TurnQueue<T> {
                         // Inserted a node published by another thread's
                         // request: the paper's helping mechanism at work.
                         self.telemetry.bump(myidx, CounterId::HelpEnqueue);
-                        self.telemetry.event(myidx, EventKind::HelpOther, 0);
                     }
                     Ok(_) => {}
                     Err(_) => {
                         self.telemetry.bump(myidx, CounterId::CasFailNext);
-                        self.telemetry.event(
-                            myidx,
-                            EventKind::CasFail,
-                            CounterId::CasFailNext as u64,
-                        );
                     }
                 }
                 break;
@@ -975,8 +906,6 @@ impl<T> TurnQueue<T> {
                     .is_err()
             {
                 self.telemetry.bump(myidx, CounterId::CasFailTail);
-                self.telemetry
-                    .event(myidx, EventKind::CasFail, CounterId::CasFailTail as u64);
             }
             iter += 1;
         }
@@ -1026,7 +955,6 @@ impl<T> TurnQueue<T> {
     pub(crate) fn record_dequeue(&self, myidx: usize, depth: usize, timer: &OpTimer, key: OpKey) {
         self.telemetry.bump(myidx, CounterId::DeqOps);
         self.telemetry.record_depth(myidx, depth);
-        self.telemetry.event(myidx, EventKind::OpFinish, depth as u64);
         self.finish_op(myidx, timer, key);
     }
 
@@ -1035,7 +963,6 @@ impl<T> TurnQueue<T> {
     pub(crate) fn dequeue_with(&self, myidx: usize) -> Option<T> {
         debug_assert!(myidx < self.max_threads);
         let timer = self.op_timer();
-        self.telemetry.event(myidx, EventKind::OpStart, 1);
         if self.fast_tries > 0 {
             if let Some(result) = self.try_fast_dequeue(myidx, &timer) {
                 return result;
@@ -1087,8 +1014,6 @@ impl<T> TurnQueue<T> {
                 self.hp.clear(myidx);
                 self.telemetry.bump(myidx, CounterId::FastDeqHit);
                 self.telemetry.bump(myidx, CounterId::DeqEmpty);
-                self.telemetry.event(myidx, EventKind::FastHit, 1);
-                self.telemetry.event(myidx, EventKind::OpFinish, 0);
                 // Empty dequeues skip the depth histogram but still have a
                 // latency, attributed to the path that proved emptiness.
                 self.finish_op(myidx, timer, OpKey::DeqFast);
@@ -1127,12 +1052,10 @@ impl<T> TurnQueue<T> {
             debug_assert!(taken.is_some(), "claimed node must still hold its item");
             self.hp.clear(myidx);
             self.telemetry.bump(myidx, CounterId::FastDeqHit);
-            self.telemetry.event(myidx, EventKind::FastHit, 1);
             self.record_dequeue(myidx, 0, timer, OpKey::DeqFast);
             return Some(taken);
         }
         self.telemetry.bump(myidx, CounterId::FastDeqFallback);
-        self.telemetry.event(myidx, EventKind::FastFallback, 1);
         None
     }
 
@@ -1243,7 +1166,6 @@ impl<T> TurnQueue<T> {
                 // counts completed transfers only — but they do carry a
                 // latency sample under the slow-path key.
                 self.telemetry.bump(myidx, CounterId::DeqEmpty);
-                self.telemetry.event(myidx, EventKind::OpFinish, iter as u64);
                 self.finish_op(myidx, timer, OpKey::DeqSlow);
                 return None; // line 18 — Inv. 11: no node was assigned to us
             }
@@ -1431,15 +1353,9 @@ impl<T> TurnQueue<T> {
                     Ok(_) => {
                         // Closed another thread's dequeue request for it.
                         self.telemetry.bump(myidx, CounterId::HelpDequeue);
-                        self.telemetry.event(myidx, EventKind::HelpOther, 1);
                     }
                     Err(_) => {
                         self.telemetry.bump(myidx, CounterId::CasFailDeqHelp);
-                        self.telemetry.event(
-                            myidx,
-                            EventKind::CasFail,
-                            CounterId::CasFailDeqHelp as u64,
-                        );
                     }
                 }
             }
@@ -1483,8 +1399,6 @@ impl<T> TurnQueue<T> {
             }
             Err(_) => {
                 self.telemetry.bump(myidx, CounterId::CasFailHead);
-                self.telemetry
-                    .event(myidx, EventKind::CasFail, CounterId::CasFailHead as u64);
             }
         }
     }

@@ -57,7 +57,7 @@ use turnq_api::{
 use turnq_sync::atomic::{AtomicU32, AtomicU64};
 use turnq_sync::cell::UnsafeCell;
 use turnq_sync::ord;
-use turnq_telemetry::{CounterId, EventKind, OpKey, OpTimer, TelemetrySheet, TelemetrySnapshot};
+use turnq_telemetry::{CounterId, OpKey, OpTimer, TelemetrySheet, TelemetrySnapshot};
 use turnq_threadreg::RegistryFull;
 
 use crate::node::{encode_fast, Node, IDX_NONE};
@@ -320,7 +320,6 @@ impl<T> SegTurnQueue<T> {
         debug_assert!(myidx < self.inner.max_threads());
         let tel: &TelemetrySheet = &self.inner.telemetry;
         let timer = self.inner.op_timer();
-        tel.event(myidx, EventKind::OpStart, 0);
         let k = self.seg_size as u64;
         // A poisoned cell hands the item back for the next attempt.
         let mut item = item;
@@ -385,7 +384,6 @@ impl<T> SegTurnQueue<T> {
                     // per thread is deferred until the slot moves on —
                     // the same bound as a thread stalled mid-operation.
                     tel.bump(myidx, CounterId::SegEnqCellHit);
-                    tel.event(myidx, EventKind::SegCellClaim, 0);
                     self.inner.record_enqueue(myidx, 0, &timer, OpKey::EnqSegCell);
                     return;
                 }
@@ -412,7 +410,6 @@ impl<T> SegTurnQueue<T> {
         // validated cache. One release store per K items — amortized away.
         self.inner.hp.clear_one(myidx, HP_HEAD_TAIL);
         tel.bump(myidx, CounterId::SegEnqAppend);
-        tel.event(myidx, EventKind::SegAppend, 0);
     }
 
     /// Segment-mode dequeue: FAA ticket on the head ring, cell rendezvous,
@@ -422,7 +419,6 @@ impl<T> SegTurnQueue<T> {
         debug_assert!(myidx < self.inner.max_threads());
         let tel: &TelemetrySheet = &self.inner.telemetry;
         let timer = self.inner.op_timer();
-        tel.event(myidx, EventKind::OpStart, 1);
         let k = self.seg_size as u64;
         loop {
             // ORDERING(q.head-validate): SEQ_CST — source read; on the
@@ -474,7 +470,6 @@ impl<T> SegTurnQueue<T> {
                 // HP stays published (caching) — lhead is still the head,
                 // so the slot is a valid cache for the next op.
                 tel.bump(myidx, CounterId::DeqEmpty);
-                tel.event(myidx, EventKind::OpFinish, 0);
                 self.inner.finish_op(myidx, &timer, OpKey::DeqSegCell);
                 return None;
             }
@@ -492,7 +487,6 @@ impl<T> SegTurnQueue<T> {
                 if lnext.is_null() {
                     // HP stays published (caching), as in the verdict above.
                     tel.bump(myidx, CounterId::DeqEmpty);
-                    tel.event(myidx, EventKind::OpFinish, 0);
                     self.inner.finish_op(myidx, &timer, OpKey::DeqSegCell);
                     return None;
                 }
@@ -554,7 +548,6 @@ impl<T> SegTurnQueue<T> {
         cell.state.store(CELL_TAKEN, ord::RELAXED);
         // HP stays published (caching) — see `enqueue_with`'s cell hit.
         tel.bump(myidx, CounterId::SegDeqCellHit);
-        tel.event(myidx, EventKind::SegCellClaim, 1);
         self.inner.record_dequeue(myidx, 0, timer, OpKey::DeqSegCell);
         item
     }

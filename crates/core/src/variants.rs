@@ -19,7 +19,7 @@
 use std::marker::PhantomData;
 use turnq_sync::atomic::AtomicBool;
 use turnq_sync::ord;
-use turnq_telemetry::{CounterId, EventKind, OpKey};
+use turnq_telemetry::{CounterId, OpKey};
 
 use crate::queue::TurnQueue;
 
@@ -134,7 +134,6 @@ impl<T> MpscConsumer<'_, T> {
     pub fn dequeue(&mut self) -> Option<T> {
         let inner = &self.queue.inner;
         let timer = inner.op_timer();
-        inner.telemetry.event(self.tid, EventKind::OpStart, 1);
         // ORDERING(vr.head-own): RELAXED — single-consumer contract: only
         // this endpoint ever advances head, so this reads back our own
         // last store (or the claim handoff, ordered by the endpoint CAS).
@@ -148,7 +147,6 @@ impl<T> MpscConsumer<'_, T> {
         let lnext = unsafe { &*lhead }.next.load(ord::ACQUIRE);
         if lnext.is_null() {
             inner.telemetry.bump(self.tid, CounterId::DeqEmpty);
-            inner.telemetry.event(self.tid, EventKind::OpFinish, 0);
             inner.finish_op(self.tid, &timer, OpKey::DeqSlow);
             return None;
         }
@@ -279,7 +277,6 @@ impl<T> SpmcProducer<'_, T> {
     pub fn enqueue(&mut self, item: T) {
         let inner = &self.queue.inner;
         let timer = inner.op_timer();
-        inner.telemetry.event(self.tid as usize, EventKind::OpStart, 0);
         // Reuse a recycled node from this producer's pool list when one is
         // available (the pool's acquire is also O(1), so the progress bound
         // is unchanged).

@@ -19,7 +19,7 @@ use turnq_sync::ord;
 
 use crossbeam_utils::CachePadded;
 
-use turnq_telemetry::{CounterId, EventKind, TelemetryHandle};
+use turnq_telemetry::{CounterId, TelemetryHandle};
 
 use crate::matrix::HpMatrix;
 use crate::sink::{BoxDropSink, ReclaimSink};
@@ -204,7 +204,6 @@ impl<T: ConditionalReclaim, S: ReclaimSink<T>> ConditionalHazardPointers<T, S> {
         // SAFETY(tid-exclusive): `tid` exclusivity (caller contract).
         let list = unsafe { &mut *row.list.get() };
         self.telemetry.bump(tid, CounterId::ChpRetire);
-        self.telemetry.event(tid, EventKind::HpRetire, 0);
         list.push(ptr);
         self.scan(tid, list);
         // ORDERING(chp.backlog-gauge): RELAXED — backlog gauge mirror (see
@@ -248,7 +247,6 @@ impl<T: ConditionalReclaim, S: ReclaimSink<T>> ConditionalHazardPointers<T, S> {
             if reclaimable && !self.matrix.is_protected(candidate) {
                 list.swap_remove(i);
                 reclaimed += 1;
-                self.telemetry.event(tid, EventKind::HpFree, 0);
                 // SAFETY(sink-contract): unprotected, condition satisfied
                 // — per the trait contract nothing will dereference it
                 // again. The sink becomes sole owner.
@@ -258,7 +256,6 @@ impl<T: ConditionalReclaim, S: ReclaimSink<T>> ConditionalHazardPointers<T, S> {
             }
         }
         self.telemetry.add(tid, CounterId::ChpReclaim, reclaimed);
-        self.telemetry.event(tid, EventKind::HpScan, reclaimed);
     }
 }
 

@@ -6,7 +6,7 @@ use turnq_sync::ord;
 
 use crossbeam_utils::CachePadded;
 
-use turnq_telemetry::{CounterId, EventKind, TelemetryHandle};
+use turnq_telemetry::{CounterId, TelemetryHandle};
 
 use crate::matrix::HpMatrix;
 use crate::sink::{BoxDropSink, ReclaimSink};
@@ -47,8 +47,8 @@ pub struct HazardPointers<T, S: ReclaimSink<T> = BoxDropSink> {
     matrix: HpMatrix<T>,
     retired: Box<[CachePadded<RetiredList<T>>]>,
     sink: S,
-    /// Observer-only probes (protect/scan/retire/reclaim counters, scan
-    /// events); disconnected unless an owner attaches its sheet.
+    /// Observer-only probes (protect/scan/retire/reclaim counters);
+    /// disconnected unless an owner attaches its sheet.
     telemetry: TelemetryHandle,
 }
 
@@ -225,7 +225,6 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
     ///   concurrently.
     pub unsafe fn retire(&self, tid: usize, ptr: *mut T) {
         self.telemetry.bump(tid, CounterId::HpRetire);
-        self.telemetry.event(tid, EventKind::HpRetire, 0);
         let row = &self.retired[tid];
         // SAFETY(tid-exclusive): `tid` exclusivity (caller contract)
         // makes this the only mutable access to the list.
@@ -249,7 +248,6 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
             } else {
                 list.swap_remove(i);
                 reclaimed += 1;
-                self.telemetry.event(tid, EventKind::HpFree, 0);
                 // SAFETY(retire-unique): unreachable from shared memory (caller contract)
                 // and not protected by any published-and-validated hazard:
                 // a reader that published after unlinking fails validation
@@ -258,7 +256,6 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
             }
         }
         self.telemetry.add(tid, CounterId::HpReclaim, reclaimed);
-        self.telemetry.event(tid, EventKind::HpScan, reclaimed);
         // ORDERING(hp.backlog-gauge): RELAXED — backlog gauge mirror (see
         // retired_count).
         row.len.store(list.len(), ord::RELAXED);

@@ -10,7 +10,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::{ConditionalHazardPointers, ConditionalReclaim, HazardPointers};
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -192,7 +192,6 @@ impl<T> KPQueue<T> {
         // Every KP op runs the full helping protocol — a single path, so
         // all latency lands under the slow-path key.
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 0);
         let value = Box::into_raw(Box::new(item));
         let phase = self.max_phase(tid) + 1;
         let node = KpNode::alloc(value, tid as i32);
@@ -202,14 +201,12 @@ impl<T> KPQueue<T> {
         self.help_finish_enq(tid);
         self.clear_all(tid);
         self.telemetry.bump(tid, CounterId::EnqOps);
-        self.telemetry.event(tid, EventKind::OpFinish, 0);
         self.telemetry
             .record_latency(tid, OpKey::EnqSlow, timer.nanos());
     }
 
     pub(crate) fn dequeue_with(&self, tid: usize) -> Option<T> {
         let timer = OpTimer::start();
-        self.telemetry.event(tid, EventKind::OpStart, 1);
         let phase = self.max_phase(tid) + 1;
         let desc = OpDesc::alloc(phase, true, false, ptr::null_mut());
         self.install_descriptor(tid, desc);
@@ -226,7 +223,6 @@ impl<T> KPQueue<T> {
         if node.is_null() {
             self.clear_all(tid);
             self.telemetry.bump(tid, CounterId::DeqEmpty);
-            self.telemetry.event(tid, EventKind::OpFinish, 0);
             self.telemetry
                 .record_latency(tid, OpKey::DeqSlow, timer.nanos());
             return None; // empty queue
@@ -271,7 +267,6 @@ impl<T> KPQueue<T> {
         // its value slot is nulled by the thread consuming *its* value.
         unsafe { self.node_hp.retire(tid, node) };
         self.telemetry.bump(tid, CounterId::DeqOps);
-        self.telemetry.event(tid, EventKind::OpFinish, 0);
         self.telemetry
             .record_latency(tid, OpKey::DeqSlow, timer.nanos());
         // SAFETY(tid-exclusive): unique Box::into_raw value pointer; the

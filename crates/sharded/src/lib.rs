@@ -292,7 +292,7 @@ impl<T: Send> ShardedTurnQueue<T> {
             }
             // Pre-probe: `is_empty` runs the same SeqCst emptiness verdict
             // as a lane dequeue's empty path (`sg.empty-verdict`) without
-            // its op-timer/event bookkeeping, so sweeping past idle lanes
+            // its op-timer and counter bookkeeping, so sweeping past idle lanes
             // stays nearly free. The observation the relaxed emptiness
             // verdict needs — "this lane was empty at some instant during
             // the sweep" (docs/algorithm.md) — is exactly what the probe
@@ -438,7 +438,7 @@ impl<T: Send> ShardedTurnQueue<T> {
     }
 
     /// Drain the pending stall-watchdog reports of every lane
-    /// (`turnq-stall-report/1` JSON, see
+    /// (`turnq-stall-report/2` JSON, see
     /// [`TurnQueueBuilder::stall_threshold_ns`]).
     pub fn take_stall_reports(&self) -> Vec<String> {
         self.lanes
@@ -714,7 +714,7 @@ mod tests {
         let reports = q.take_stall_reports();
         if turnq_telemetry::ENABLED {
             assert!(!reports.is_empty(), "1ns threshold must trip the watchdog");
-            assert!(reports[0].contains("turnq-stall-report/1"));
+            assert!(reports[0].contains("turnq-stall-report/2"));
         }
         // Drained: a second take is empty.
         assert!(q.take_stall_reports().is_empty() || !turnq_telemetry::ENABLED);

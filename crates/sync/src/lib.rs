@@ -134,7 +134,7 @@ mod imp {
 
 pub use imp::{atomic, cell, hint, thread};
 
-/// Atomics for *observers* — telemetry counters, event rings, and other
+/// Atomics for *observers* — telemetry counters, histograms, and other
 /// measurement-only state that is **not** part of any algorithm's shared
 /// protocol surface.
 ///

@@ -36,7 +36,7 @@
 //! [`OpTimer::start`] reads it on about one operation in
 //! [`LATENCY_SAMPLE_PERIOD`] per thread; the rest read
 //! [`NOT_SAMPLED`], which [`TelemetrySheet::record_latency`] drops.
-//! Counters, the helping-depth histogram and the event rings stay exact;
+//! Counters and the helping-depth histogram stay exact;
 //! only the latency histograms are sampled. A per-thread countdown picks
 //! the sampled operations, reloaded from a per-thread xorshift draw
 //! uniform in `[1, 2 * LATENCY_SAMPLE_PERIOD]`: a fixed stride could

@@ -44,13 +44,11 @@
 #![warn(missing_docs)]
 
 mod counters;
-mod events;
 pub mod latency;
 mod sheet;
 mod snapshot;
 
 pub use counters::{CounterId, N_COUNTERS};
-pub use events::{Event, EventKind, RING_CAPACITY};
 pub use latency::{OpKey, OpTimer, LATENCY_SAMPLE_PERIOD, N_OP_KEYS};
 pub use sheet::{TelemetryHandle, TelemetrySheet, LATENCY_BLOCK_BYTES};
 pub use snapshot::{
@@ -86,7 +84,6 @@ mod crate_tests {
                             sheet.bump(tid, CounterId::CasFailTail);
                         }
                         sheet.record_depth(tid, (i % 4) as usize);
-                        sheet.event(tid, EventKind::OpFinish, i);
                     }
                 });
             }
@@ -104,11 +101,9 @@ mod crate_tests {
             );
             assert_eq!(snap.helping_depth_count(), THREADS as u64 * OPS);
             assert_eq!(snap.helping_depth_max(), Some(3));
-            assert_eq!(sheet.events(0).len(), RING_CAPACITY.min(OPS as usize));
         } else {
             assert_eq!(snap.counter(CounterId::EnqOps), 0);
             assert_eq!(snap.helping_depth_max(), None);
-            assert!(sheet.events(0).is_empty());
         }
     }
 }

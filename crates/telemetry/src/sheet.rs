@@ -1,5 +1,5 @@
 //! The recording side: per-thread rows of counters, a helping-depth
-//! histogram, and an event ring.
+//! histogram, and latency histograms.
 //!
 //! ## Why plain load+store and not `fetch_add`
 //!
@@ -32,11 +32,8 @@
 //! there. (A sharded queue's lanes are sheets of their own; a lane gets
 //! a thread's block on that thread's first timed operation in the lane.)
 //! Readers load the pointer with `Acquire` and skip rows with no block;
-//! the block is never moved and is freed only when the row drops.
-//!
-//! The event ring (1 KiB) follows the same rule with a block of its own,
-//! published by the row's first event, so a slot no thread ever claims
-//! costs only its counters and depth histogram.
+//! the block is never moved and is freed only when the row drops. A slot
+//! no thread ever claims costs only its counters and depth histogram.
 
 #[cfg(feature = "probe")]
 use crossbeam_utils::CachePadded;
@@ -49,10 +46,6 @@ use turnq_sync::ord;
 use crate::counters::CounterId;
 #[cfg(feature = "probe")]
 use crate::counters::N_COUNTERS;
-use crate::events::EventKind;
-#[cfg(feature = "probe")]
-use crate::events::{pack, unpack, RING_CAPACITY};
-use crate::events::Event;
 #[cfg(feature = "probe")]
 use crate::latency::bucket_index;
 use crate::latency::{OpKey, N_OP_KEYS, RANGES, SHEET_SUB_BUCKET_BITS};
@@ -76,10 +69,6 @@ const LAT_SERIES: usize = LAT_STATS + LAT_BUCKETS;
 /// `key * LAT_SERIES + (stat | LAT_STATS + bucket)`.
 #[cfg(feature = "probe")]
 type LatBlock = [AtomicU64; N_OP_KEYS * LAT_SERIES];
-
-/// One row's flight-recorder ring (packed events, see `events.rs`).
-#[cfg(feature = "probe")]
-type RingBlock = [AtomicU64; RING_CAPACITY];
 
 /// Heap bytes of one row's latency block, allocated by the first sampled
 /// operation of the thread that owns the row.
@@ -107,12 +96,6 @@ struct ThreadRow {
     /// buckets: a plain boxed slice would share a line with the next
     /// row's, which is allocated right after it.
     depth: Box<[CachePadded<[AtomicU64; DEPTH_CHUNK]>]>,
-    /// Flight-recorder ring: null until the owner's first event publishes
-    /// a `Box<RingBlock>`, owned like `lat` (module docs).
-    ring: AtomicPtr<RingBlock>,
-    /// Total events ever recorded by this thread; the next write goes to
-    /// `ring[ring_pos % RING_CAPACITY]`.
-    ring_pos: AtomicU64,
     /// Latency histograms (shared bucket math, `latency.rs`): null until
     /// the owner's first sample publishes a `Box<LatBlock>`, which this
     /// row then owns until it drops (module docs).
@@ -127,8 +110,6 @@ impl ThreadRow {
             depth: (0..depth_buckets.div_ceil(DEPTH_CHUNK))
                 .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
-            ring: AtomicPtr::new(std::ptr::null_mut()),
-            ring_pos: AtomicU64::new(0),
             lat: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
@@ -140,67 +121,36 @@ impl ThreadRow {
     }
 
     /// Owner only: this row's latency block, allocated and published on
-    /// the first call. A `Relaxed` load suffices here: the owner either
-    /// stored the pointer itself or inherited the row through the
-    /// registry's release/claim (or a lock's) happens-before edge.
+    /// the first call.
     #[inline(always)]
+    #[allow(unsafe_code)]
     fn own_lat(&self) -> &LatBlock {
-        own_block(&self.lat, |i| if i % LAT_SERIES == LAT_MIN { u64::MAX } else { 0 })
+        // ORDERING(tel.block-own): RELAXED — the owner reads its own slot:
+        // it stored the pointer itself or inherited the row through the
+        // registry's release/claim edge.
+        let mut block = self.lat.load(ord::RELAXED);
+        if block.is_null() {
+            block = publish_lat(&self.lat);
+        }
+        // SAFETY(tid-exclusive): non-null, so the row's owner (this thread,
+        // or the one it inherited the row from) published a live boxed
+        // block; it is never moved and is freed only when the row drops,
+        // which the borrow of `self` outlives.
+        unsafe { &*block }
     }
 
     /// Aggregator side: the published latency block, if any.
+    #[allow(unsafe_code)]
     fn published_lat(&self) -> Option<&LatBlock> {
-        published_block(&self.lat)
+        // ORDERING(tel.block-read): ACQUIRE — a reader sees the block's
+        // initialised cells once it sees the pointer. pairs=tel.block-publish
+        let block = self.lat.load(ord::ACQUIRE);
+        // SAFETY(publish-once): this `Acquire` load pairs with the `Release`
+        // store in `publish_lat`, so a non-null pointer's initialised block
+        // is visible; it is never moved and is freed only when the row
+        // drops, which the borrow of `self` outlives.
+        unsafe { block.as_ref() }
     }
-
-    /// Owner only: this row's event ring, published on the first call
-    /// (same argument as [`own_lat`](Self::own_lat)).
-    #[inline(always)]
-    fn own_ring(&self) -> &RingBlock {
-        own_block(&self.ring, |_| 0)
-    }
-
-    /// Reader side: the published event ring, if any.
-    fn published_ring(&self) -> Option<&RingBlock> {
-        published_block(&self.ring)
-    }
-}
-
-/// Owner side of a lazily published row block: the block in `slot`,
-/// allocated (cell `i` set to `init(i)`) and published on the first call.
-#[cfg(feature = "probe")]
-#[inline(always)]
-#[allow(unsafe_code)]
-fn own_block<const N: usize>(
-    slot: &AtomicPtr<[AtomicU64; N]>,
-    init: impl Fn(usize) -> u64,
-) -> &[AtomicU64; N] {
-    // ORDERING(tel.block-own): RELAXED — the owner reads its own slot:
-    // it stored the pointer itself or inherited the row through the
-    // registry's release/claim edge.
-    let mut block = slot.load(ord::RELAXED);
-    if block.is_null() {
-        block = publish_block(slot, init);
-    }
-    // SAFETY(tid-exclusive): non-null, so the row's owner (this thread,
-    // or the one it inherited the row from) published a live boxed
-    // block; it is never moved and is freed only when the row drops,
-    // which the borrow of `slot` outlives.
-    unsafe { &*block }
-}
-
-/// Reader side of a lazily published row block.
-#[cfg(feature = "probe")]
-#[allow(unsafe_code)]
-fn published_block<const N: usize>(slot: &AtomicPtr<[AtomicU64; N]>) -> Option<&[AtomicU64; N]> {
-    // ORDERING(tel.block-read): ACQUIRE — a reader sees the block's
-    // initialised cells once it sees the pointer. pairs=tel.block-publish
-    let block = slot.load(ord::ACQUIRE);
-    // SAFETY(publish-once): this `Acquire` load pairs with the `Release`
-    // store in `publish_block`, so a non-null pointer's initialised block
-    // is visible; it is never moved and is freed only when the row drops,
-    // which the borrow of `slot` outlives.
-    unsafe { block.as_ref() }
 }
 
 #[cfg(feature = "probe")]
@@ -211,29 +161,27 @@ impl Drop for ThreadRow {
         if !lat.is_null() {
             // SAFETY(drop-exclusive): `&mut self` — no reference into the
             // block survives, and it came from `Box::into_raw` in
-            // `publish_block`, once.
+            // `publish_lat`, once.
             drop(unsafe { Box::from_raw(lat) });
-        }
-        let ring = *self.ring.get_mut();
-        if !ring.is_null() {
-            // SAFETY(drop-exclusive): as above.
-            drop(unsafe { Box::from_raw(ring) });
         }
     }
 }
 
-/// Allocate a row block (cell `i` set to `init(i)`) and publish it into
-/// `slot` with one `Release` store. Called once per block and row, by the
-/// row's owner, on its first sample (latency) or event (ring).
+/// Allocate a row's latency block (every series' `min` cell at
+/// `u64::MAX`, the rest zero) and publish it into `slot` with one
+/// `Release` store. Called once per row, by its owner, on its first
+/// sample.
 #[cfg(feature = "probe")]
 #[cold]
 #[inline(never)]
-fn publish_block<const N: usize>(
-    slot: &AtomicPtr<[AtomicU64; N]>,
-    init: impl Fn(usize) -> u64,
-) -> *mut [AtomicU64; N] {
-    let cells: Box<[AtomicU64]> = (0..N).map(|i| AtomicU64::new(init(i))).collect();
-    let block: Box<[AtomicU64; N]> = cells
+fn publish_lat(slot: &AtomicPtr<LatBlock>) -> *mut LatBlock {
+    let cells: Box<[AtomicU64]> = (0..N_OP_KEYS * LAT_SERIES)
+        .map(|i| match i % LAT_SERIES {
+            LAT_MIN => AtomicU64::new(u64::MAX),
+            _ => AtomicU64::new(0),
+        })
+        .collect();
+    let block: Box<LatBlock> = cells
         .try_into()
         .unwrap_or_else(|_| unreachable!("the block is collected at its exact length"));
     let block = Box::into_raw(block);
@@ -386,47 +334,6 @@ impl TelemetrySheet {
         Vec::new()
     }
 
-    /// Append an event to `tid`'s ring (overwrites oldest-first).
-    #[inline(always)]
-    #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
-    pub fn event(&self, tid: usize, kind: EventKind, arg: u64) {
-        #[cfg(feature = "probe")]
-        {
-            let row = &self.rows[tid];
-            let pos = row.ring_pos.load(observer::Ordering::Relaxed);
-            row.own_ring()[(pos as usize) % RING_CAPACITY].store(pack(kind, arg), observer::Ordering::Relaxed);
-            row.ring_pos.store(pos + 1, observer::Ordering::Relaxed);
-        }
-    }
-
-    /// Decode `tid`'s ring, oldest surviving event first.
-    ///
-    /// Reads are best-effort while the owner is still recording (a slot
-    /// being overwritten may decode to a fresh event or be dropped); after
-    /// the recording threads quiesce the view is exact.
-    #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
-    pub fn events(&self, tid: usize) -> Vec<Event> {
-        #[cfg(feature = "probe")]
-        {
-            let row = &self.rows[tid];
-            let Some(ring) = row.published_ring() else {
-                return Vec::new();
-            };
-            let pos = row.ring_pos.load(observer::Ordering::Relaxed);
-            let live = (pos as usize).min(RING_CAPACITY);
-            let mut out = Vec::with_capacity(live);
-            for i in 0..live {
-                let slot = (pos as usize - live + i) % RING_CAPACITY;
-                if let Some(ev) = unpack(ring[slot].load(observer::Ordering::Relaxed)) {
-                    out.push(ev);
-                }
-            }
-            out
-        }
-        #[cfg(not(feature = "probe"))]
-        Vec::new()
-    }
-
     /// Aggregate every row into a snapshot (Relaxed loads, after one
     /// Acquire load of each row's latency-block pointer; exact once the
     /// recording threads have quiesced, a monotone under-estimate while
@@ -471,9 +378,7 @@ impl TelemetrySheet {
     }
 
     /// Number of rows whose latency block has been published: the sheet's
-    /// heap beyond its construction is this many [`LATENCY_BLOCK_BYTES`],
-    /// plus one `RING_CAPACITY`-word event ring per row that recorded an
-    /// event.
+    /// heap beyond its construction is this many [`LATENCY_BLOCK_BYTES`].
     /// Always 0 with `probe` off.
     pub fn latency_blocks(&self) -> usize {
         #[cfg(feature = "probe")]
@@ -515,8 +420,8 @@ impl TelemetrySheet {
     }
 }
 
-/// A cheap, cloneable connection from an instrumented component (hazard
-/// domain, node pool, registry) back to its owner's [`TelemetrySheet`].
+/// A cheap, cloneable connection from an instrumented component (a hazard
+/// domain) back to its owner's [`TelemetrySheet`].
 ///
 /// Components hold a handle instead of an `Arc<TelemetrySheet>` directly so
 /// that a disconnected default exists: a hazard domain built standalone
@@ -564,18 +469,6 @@ impl TelemetryHandle {
         }
     }
 
-    /// See [`TelemetrySheet::event`].
-    #[inline(always)]
-    #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
-    pub fn event(&self, tid: usize, kind: EventKind, arg: u64) {
-        #[cfg(feature = "probe")]
-        if let Some(sheet) = &self.sheet {
-            if tid < sheet.max_threads {
-                sheet.event(tid, kind, arg);
-            }
-        }
-    }
-
     /// Whether this handle is connected to a live sheet (always `false`
     /// with `probe` off).
     pub fn is_connected(&self) -> bool {
@@ -616,18 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest() {
-        let sheet = TelemetrySheet::new(1);
-        for i in 0..(crate::events::RING_CAPACITY as u64 + 3) {
-            sheet.event(0, EventKind::OpFinish, i);
-        }
-        let events = sheet.events(0);
-        assert_eq!(events.len(), crate::events::RING_CAPACITY);
-        assert_eq!(events.first().unwrap().arg, 3);
-        assert_eq!(events.last().unwrap().arg, crate::events::RING_CAPACITY as u64 + 2);
-    }
-
-    #[test]
     fn latency_samples_land_in_their_series() {
         let sheet = TelemetrySheet::new(2);
         sheet.record_latency(0, OpKey::EnqFast, 5);
@@ -656,7 +537,6 @@ mod tests {
         let sheet = TelemetrySheet::new(4);
         sheet.bump(0, CounterId::EnqOps);
         sheet.record_depth(1, 0);
-        sheet.event(2, EventKind::OpFinish, 0);
         sheet.record_latency(3, OpKey::EnqFast, crate::latency::NOT_SAMPLED);
         assert!((0..4).all(|t| !has_block(&sheet, t)));
         assert_eq!(sheet.latency_blocks(), 0);

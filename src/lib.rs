@@ -18,8 +18,8 @@
 //! * [`harness`] — the paper's measurement protocols (`turnq-harness`);
 //! * [`linearize`] — history recording and linearizability checking
 //!   (`turnq-linearize`);
-//! * [`telemetry`] — wait-freedom-preserving counters, event rings and the
-//!   helping-depth histogram every queue records into (`turnq-telemetry`;
+//! * [`telemetry`] — wait-freedom-preserving counters, latency histograms
+//!   and the helping-depth histogram every queue records into (`turnq-telemetry`;
 //!   see `docs/metrics.md` for the metric catalogue);
 //! * [`api`] / [`threadreg`] — shared traits and the thread-slot registry.
 //!

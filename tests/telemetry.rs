@@ -330,12 +330,12 @@ fn armed_watchdog_judges_every_operation() {
 
 #[test]
 fn seeded_stall_triggers_the_flight_recorder() {
-    // Threshold of 1 ns + an injected 100 µs busy-wait: every operation
-    // "stalls", so the flight recorder provably fires.
+    // A 1 ns threshold: an armed watchdog times every operation and a
+    // timed reading is at least 1 ns, so every operation "stalls" and the
+    // flight recorder provably fires.
     let queue: TurnQueue<u64> = TurnQueue::<u64>::builder()
         .max_threads(2)
         .stall_threshold_ns(1)
-        .inject_op_delay_for_tests(100_000)
         .build();
     queue.enqueue(7);
     assert_eq!(queue.dequeue(), Some(7));
@@ -350,14 +350,12 @@ fn seeded_stall_triggers_the_flight_recorder() {
         );
         assert!(!reports.is_empty(), "flight recorder must capture a dump");
         let report = &reports[0];
-        assert!(report.contains("\"schema\":\"turnq-stall-report/1\""), "{report}");
+        assert!(
+            report.contains("\"schema\":\"turnq-stall-report/2\""),
+            "{report}"
+        );
         assert!(report.contains("\"latency_ns\":"), "{report}");
         assert!(report.contains("\"enq_open\":"), "{report}");
-        // The stalled thread's event trail is part of the black box: the
-        // first report is the enqueue's, so its trail ends at that op.
-        assert!(report.contains("\"stalled_thread_events\":["), "{report}");
-        assert!(report.contains("\"kind\":\"op_start\""), "{report}");
-        assert!(report.contains("\"kind\":\"op_finish\""), "{report}");
         // Reports parse as JSON as far as our hand-rolled writer promises:
         // balanced braces, no trailing comma before a close.
         assert_eq!(
