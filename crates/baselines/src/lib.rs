@@ -3,14 +3,8 @@
 //! * [`MSQueue`] — Michael–Scott lock-free queue with hazard pointers: the
 //!   paper's main comparison baseline (Table 3, Figures 1–3).
 //! * [`MutexQueue`] — the lock-based strawman of §1.2.
-//! * [`VyukovMpscQueue`] — the wait-free-enqueue / blocking-dequeue MPSC
-//!   queue mentioned in §1, with an executable demonstration of the
-//!   "lagging enqueuer blocks all dequeuers" failure mode.
 //! * [`FaaArrayQueue`] — a fetch-and-add array queue standing in for the
 //!   YMC fast path in the FAA-vs-CAS consensus discussion (§4).
-//! * [`SpscRing`] — a bounded wait-free SPSC ring (Lamport / the
-//!   Herlihy-Wing mention in §1): wait-free population oblivious on both
-//!   sides at the price of bounded capacity.
 //!
 //! The FK (SimQueue) and original YMC queues are deliberately absent: the
 //! paper itself excludes both from every measurement (memory leak and
@@ -20,11 +14,7 @@
 mod faa_array;
 mod ms;
 mod mutex_queue;
-mod spsc_ring;
-mod vyukov;
 
 pub use faa_array::{FaaArrayQueue, FaaFamily, BUFFER_SIZE};
 pub use ms::{MSQueue, MsFamily};
 pub use mutex_queue::{MutexFamily, MutexQueue};
-pub use spsc_ring::{Full, SpscConsumer, SpscProducer, SpscRing};
-pub use vyukov::{VyukovConsumer, VyukovMpscQueue};

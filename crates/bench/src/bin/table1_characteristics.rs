@@ -7,12 +7,10 @@
 //! printed from the paper's own text for completeness.
 //!
 //! Beyond the `--queues=` MPMC set, the table always carries the
-//! memory-bounded comparison rows (`turnq-bounded` plus the Vyukov MPSC
-//! and SPSC-ring baselines) so the bounded ring is read against the
-//! designs it actually competes with, not only the unbounded queues.
+//! memory-bounded contrast row (`turnq-bounded`), the design whose
+//! memory bound the paper's wait-free reclamation is read against.
 
 use turnq_api::{QueueIntrospect, QueueProps};
-use turnq_baselines::{SpscRing, VyukovMpscQueue};
 use turnq_bounded::BoundedQueue;
 use turnq_harness::{Args, QueueKind, Table};
 
@@ -45,12 +43,9 @@ fn main() {
     for kind in kinds {
         add_props_row(&mut table, kind.props());
     }
-    // The memory-bounded designs (not part of the unbounded-MPMC
-    // `QueueKind` dispatch: Vyukov is MPSC, the ring is SPSC, and the
-    // bounded MPMC ring can refuse an enqueue).
+    // The memory-bounded ring (not part of the unbounded-MPMC `QueueKind`
+    // dispatch: it can refuse an enqueue).
     add_props_row(&mut table, BoundedQueue::<u64>::props());
-    add_props_row(&mut table, VyukovMpscQueue::<u64>::props());
-    add_props_row(&mut table, SpscRing::<u64>::props());
     println!("{table}");
 
     println!("not implemented here (excluded from all of the paper's own benchmarks, §4):");

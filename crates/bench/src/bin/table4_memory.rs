@@ -5,87 +5,20 @@
 //! (unpadded logical layout, exactly how the paper's table is framed);
 //! the allocations-per-item row is *measured* with a counting global
 //! allocator over a live enqueue+dequeue workload, and the alloc/free
-//! balance after dropping the queue doubles as a leak check (the test the
-//! FK queue fails per §4).
+//! balance over the queue's whole life doubles as a leak check (the test
+//! the FK queue fails per §4): the binary exits non-zero when any row's
+//! leak count is not 0.
 
 use turnq_api::{QueueIntrospect, SizeReport};
-use turnq_baselines::{SpscRing, VyukovMpscQueue};
 use turnq_bounded::BoundedFamily;
-use turnq_harness::memusage::{alloc_snapshot, measure_family, measure_memory, MemMeasurement};
+use turnq_harness::memusage::{
+    alloc_snapshot, measure_family, measure_life, measure_memory, LifeWindows, MemMeasurement,
+};
 use turnq_harness::{Args, QueueKind, Table};
 use turn_queue::TurnQueue;
 
 #[global_allocator]
 static ALLOC: turnq_harness::CountingAllocator = turnq_harness::CountingAllocator;
-
-/// `measure_family`'s two-window protocol on the Vyukov queue's native
-/// endpoint API (it is MPSC, so it cannot sit behind the MPMC
-/// `QueueFamily` dispatch).
-fn measure_vyukov(items: u64) -> MemMeasurement {
-    let q: VyukovMpscQueue<u64> = VyukovMpscQueue::new();
-    q.enqueue(0);
-    let mut rx = q.consumer().expect("consumer free");
-    let _ = rx.dequeue();
-
-    let before = alloc_snapshot();
-    for i in 0..items {
-        q.enqueue(i);
-        let got = rx.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let mid = alloc_snapshot();
-    for i in 0..items {
-        q.enqueue(i);
-        let got = rx.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let steady = alloc_snapshot();
-    drop(rx);
-    drop(q);
-    let after = alloc_snapshot();
-
-    MemMeasurement {
-        allocs_per_item: (mid.allocs - before.allocs) as f64 / items as f64,
-        steady_allocs_per_item: (steady.allocs - mid.allocs) as f64 / items as f64,
-        leaked_allocs: (after.allocs - before.allocs) as i64
-            - (after.frees - before.frees) as i64,
-        pool: None,
-    }
-}
-
-/// The same two-window protocol on the SPSC ring's native endpoints.
-fn measure_spsc(items: u64) -> MemMeasurement {
-    let ring: SpscRing<u64> = SpscRing::with_capacity(1024);
-    let (mut tx, mut rx) = ring.split().expect("endpoints free");
-    tx.try_enqueue(0).expect("ring not full");
-    let _ = rx.dequeue();
-
-    let before = alloc_snapshot();
-    for i in 0..items {
-        tx.try_enqueue(i).expect("ring not full");
-        let got = rx.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let mid = alloc_snapshot();
-    for i in 0..items {
-        tx.try_enqueue(i).expect("ring not full");
-        let got = rx.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let steady = alloc_snapshot();
-    drop(tx);
-    drop(rx);
-    drop(ring);
-    let after = alloc_snapshot();
-
-    MemMeasurement {
-        allocs_per_item: (mid.allocs - before.allocs) as f64 / items as f64,
-        steady_allocs_per_item: (steady.allocs - mid.allocs) as f64 / items as f64,
-        leaked_allocs: (after.allocs - before.allocs) as i64
-            - (after.frees - before.frees) as i64,
-        pool: None,
-    }
-}
 
 /// The two-window protocol with split roles on the Turn queue: one
 /// producer thread that pauses while more than 1,024 items are queued and
@@ -101,51 +34,63 @@ fn measure_turn_split_roles(items: u64) -> MemMeasurement {
     use std::sync::atomic::{AtomicU64, Ordering};
     const BACKLOG: u64 = 1_024;
 
-    let q: TurnQueue<u64> = TurnQueue::<u64>::builder().max_threads(4).build();
-    let consumed = AtomicU64::new(0);
-    let before = alloc_snapshot();
-    let (mid, steady) = std::thread::scope(|s| {
-        s.spawn(|| {
-            for i in 0..2 * items {
-                while i - consumed.load(Ordering::Acquire) > BACKLOG {
-                    std::hint::spin_loop();
+    measure_life(items, || {
+        let q: TurnQueue<u64> = TurnQueue::<u64>::builder().max_threads(4).build();
+        let consumed = AtomicU64::new(0);
+        let before = alloc_snapshot();
+        // Both threads are joined by handle, which waits for their
+        // thread-local destructors; the scope's own wait does not.
+        let (mid, steady) = std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                for i in 0..2 * items {
+                    while i - consumed.load(Ordering::Acquire) > BACKLOG {
+                        std::hint::spin_loop();
+                    }
+                    q.enqueue(i);
                 }
-                q.enqueue(i);
-            }
-        });
-        s.spawn(|| {
-            let dequeue_n = |n: u64| {
-                for _ in 0..n {
-                    let got = loop {
-                        match q.dequeue() {
-                            Some(v) => break v,
-                            None => std::hint::spin_loop(),
+            });
+            let windows = s
+                .spawn(|| {
+                    let dequeue_n = |n: u64| {
+                        for _ in 0..n {
+                            let got = loop {
+                                match q.dequeue() {
+                                    Some(v) => break v,
+                                    None => std::hint::spin_loop(),
+                                }
+                            };
+                            debug_assert_eq!(got, consumed.load(Ordering::Relaxed));
+                            consumed.store(got + 1, Ordering::Release);
                         }
+                        alloc_snapshot()
                     };
-                    debug_assert_eq!(got, consumed.load(Ordering::Relaxed));
-                    consumed.store(got + 1, Ordering::Release);
-                }
-                alloc_snapshot()
-            };
-            (dequeue_n(items), dequeue_n(items))
-        })
-        .join()
-        .expect("consumer thread")
-    });
-    let pool = q.pool_stats();
-    drop(q);
-    let after = alloc_snapshot();
-
-    MemMeasurement {
-        allocs_per_item: (mid.allocs - before.allocs) as f64 / items as f64,
-        steady_allocs_per_item: (steady.allocs - mid.allocs) as f64 / items as f64,
-        leaked_allocs: (after.allocs - before.allocs) as i64
-            - (after.frees - before.frees) as i64,
-        pool: Some(pool),
-    }
+                    (dequeue_n(items), dequeue_n(items))
+                })
+                .join()
+                .expect("consumer thread");
+            producer.join().expect("producer thread");
+            windows
+        });
+        LifeWindows {
+            before,
+            mid,
+            steady,
+            pool: Some(q.pool_stats()),
+        }
+    })
 }
 
-fn add_measured_row(table: &mut Table, name: &str, r: SizeReport, m: MemMeasurement) {
+/// Adds the row; a nonzero leak count also goes on `leaks`.
+fn add_measured_row(
+    table: &mut Table,
+    leaks: &mut Vec<String>,
+    name: &str,
+    r: SizeReport,
+    m: MemMeasurement,
+) {
+    if m.leaked_allocs != 0 {
+        leaks.push(format!("{name} ({})", m.leaked_allocs));
+    }
     table.add_row(vec![
         name.to_string(),
         r.node_bytes.to_string(),
@@ -189,50 +134,39 @@ fn main() {
         "pool hit rate",
         "leak after drop",
     ]);
+    let mut leaks = Vec::new();
     for &kind in &kinds {
         eprintln!("measuring allocations for {} ({items} items) ...", kind.name());
         add_measured_row(
             &mut table,
+            &mut leaks,
             kind.name(),
             kind.size_report(),
             measure_memory(kind, items),
         );
     }
-    // The memory-bounded comparison rows (outside the `--queues=` MPMC
-    // dispatch: Vyukov is MPSC, the ring is SPSC, and the bounded MPMC
-    // ring is pre-allocated — see table1). The measured columns make the
-    // contrast the point: 0.0000 steady allocs/item against the node
-    // queues' per-item heap traffic.
     use turnq_api::QueueFamily;
     if kinds.contains(&QueueKind::Turn) {
         eprintln!("measuring allocations for Turn (1P:1C) ({items} items) ...");
         add_measured_row(
             &mut table,
+            &mut leaks,
             "Turn (1P:1C)",
             QueueKind::Turn.size_report(),
             measure_turn_split_roles(items),
         );
     }
+    // The memory-bounded contrast row (outside the `--queues=` MPMC
+    // dispatch: the ring is pre-allocated and can refuse an enqueue — see
+    // table1). The measured columns make the contrast the point: 0.0000
+    // steady allocs/item against the node queues' per-item heap traffic.
     eprintln!("measuring allocations for Bounded ({items} items) ...");
     add_measured_row(
         &mut table,
+        &mut leaks,
         "Bounded",
         <BoundedFamily as QueueFamily>::Queue::<u64>::size_report(),
         measure_family::<BoundedFamily>(items),
-    );
-    eprintln!("measuring allocations for Vyukov ({items} items) ...");
-    add_measured_row(
-        &mut table,
-        "Vyukov",
-        VyukovMpscQueue::<u64>::size_report(),
-        measure_vyukov(items),
-    );
-    eprintln!("measuring allocations for SPSC-ring ({items} items) ...");
-    add_measured_row(
-        &mut table,
-        "SPSC-ring",
-        SpscRing::<u64>::size_report(),
-        measure_spsc(items),
     );
     println!("{table}");
     println!("paper reference (Table 4):");
@@ -249,4 +183,8 @@ fn main() {
         "allocator totals: {} allocs, {} frees, {} bytes requested",
         snap.allocs, snap.frees, snap.bytes
     );
+    if !leaks.is_empty() {
+        eprintln!("leak check failed: {}", leaks.join(", "));
+        std::process::exit(1);
+    }
 }

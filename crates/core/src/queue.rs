@@ -87,6 +87,12 @@ pub struct TurnQueue<T> {
     pub(crate) max_threads: usize,
     pub(crate) head: CachePadded<AtomicPtr<Node<T>>>,
     pub(crate) tail: CachePadded<AtomicPtr<Node<T>>>,
+    /// The initial sentinel, which `Drop` frees. Once the head has passed
+    /// it nothing else can: no request is ever assigned it, so no line-30
+    /// `retire(prReq)` reaches it, and it is never fast-claimed. Null in
+    /// the variants that retire every head they pass, the sentinel
+    /// included (the MPSC consumer walk, segment mode).
+    pub(crate) sentinel: *mut Node<T>,
     /// `enqueuers[i]` — thread `i`'s published enqueue request: the node it
     /// wants inserted, or null when it has no open request (paper §2.1).
     pub(crate) enqueuers: Box<[CachePadded<AtomicPtr<Node<T>>>]>,
@@ -139,7 +145,8 @@ pub struct TurnQueue<T> {
 }
 
 // SAFETY(send-sync): all shared mutable state is atomics; raw node pointers are
-// managed by the hazard-pointer protocol; items move between threads, hence
+// managed by the hazard-pointer protocol (the `sentinel` field is read only
+// by `Drop`, under `&mut self`); items move between threads, hence
 // `T: Send`. Consumers on any thread may receive items, so `Sync` also only
 // needs `T: Send` (a queue never shares `&T`).
 unsafe impl<T: Send> Send for TurnQueue<T> {}
@@ -382,6 +389,7 @@ impl TurnQueueBuilder {
             max_threads,
             head: CachePadded::new(AtomicPtr::new(sentinel)),
             tail: CachePadded::new(AtomicPtr::new(sentinel)),
+            sentinel,
             enqueuers: mk_slots(),
             deqself,
             deqhelp,
@@ -1474,7 +1482,13 @@ impl<T> Drop for TurnQueue<T> {
         // access anywhere in this destructor, so plain coherence is enough
         // (all loads below share this justification).
         let mut to_free: Vec<*mut Node<T>> = Vec::new();
-        let mut node = self.head.load(ord::RELAXED);
+        let head = self.head.load(ord::RELAXED);
+        // The initial sentinel is the first node ever linked, so the walk
+        // below reaches it only while it is still the head.
+        if !self.sentinel.is_null() && self.sentinel != head {
+            to_free.push(self.sentinel);
+        }
+        let mut node = head;
         while !node.is_null() {
             to_free.push(node);
             // SAFETY(drop-exclusive): the node is alive: this context owns

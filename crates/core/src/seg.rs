@@ -603,7 +603,10 @@ impl<T: Send> SegTurnQueue<T> {
             builder.max_threads,
             HPS_PER_THREAD,
         ));
-        let inner: TurnQueue<SegRing<T>> = builder.build();
+        let mut inner: TurnQueue<SegRing<T>> = builder.build();
+        // The boundary advance retires every head it passes, the sentinel
+        // included, so `TurnQueue::drop` must not free it too.
+        inner.sentinel = std::ptr::null_mut();
         // Seed the sentinel with an empty ring: in segment mode the head
         // node's payload is *live* (it is the active dequeue segment, not a
         // consumed dummy), so every list node must carry Some(ring).

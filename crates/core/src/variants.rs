@@ -47,8 +47,12 @@ impl<T> TurnMpscQueue<T> {
     /// Create a queue for at most `max_threads` threads, producers and the
     /// consumer combined.
     pub fn with_max_threads(max_threads: usize) -> Self {
+        let mut inner = TurnQueue::with_max_threads(max_threads);
+        // The consumer walk retires every head it passes, the sentinel
+        // included, so `TurnQueue::drop` must not free it too.
+        inner.sentinel = std::ptr::null_mut();
         TurnMpscQueue {
-            inner: TurnQueue::with_max_threads(max_threads),
+            inner,
             consumer_claimed: AtomicBool::new(false),
         }
     }

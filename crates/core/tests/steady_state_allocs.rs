@@ -72,9 +72,9 @@ fn fewest_window_allocs(q: &TurnQueue<u64>) -> u64 {
 
 #[test]
 fn steady_state_allocs_are_zero_with_the_pool_and_one_per_item_without() {
-    // Warm-up primes the pool (the first dequeues retire the sentinel and
-    // the per-thread request dummies into it) and lets the hazard-pointer
-    // retired `Vec`s reach their steady capacity.
+    // Warm-up primes the pool (the first dequeues retire their consumed
+    // nodes into it) and lets the hazard-pointer retired `Vec`s reach their
+    // steady capacity.
     let pooled: TurnQueue<u64> = TurnQueue::with_max_threads(2);
     ping_pong(&pooled, WARMUP);
     let warm_misses = pooled.pool_stats().misses;

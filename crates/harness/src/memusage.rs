@@ -2,8 +2,15 @@
 //!
 //! Table 4's bottom row ("Heap allocations per item") is measured, not
 //! inferred: a counting [`GlobalAlloc`] wrapper tallies every allocation,
-//! and [`measure_allocs_per_item`] runs a transfer workload against a queue
-//! and reports allocations per enqueued+dequeued item.
+//! and [`measure_memory`] runs a transfer workload against a queue and
+//! reports allocations per enqueued+dequeued item.
+//!
+//! The same run is the leak check. [`measure_life`] takes its baseline
+//! before the queue is built and its final snapshot after the thread that
+//! built, used and dropped the queue has been joined, so the queue's own
+//! construction, the thread-local state its operations create and every
+//! free at drop all fall inside the window; a queue that frees what it
+//! allocates reads exactly 0.
 //!
 //! The binary that wants measurement must register the allocator:
 //!
@@ -44,8 +51,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Count a realloc as one allocation (it may move).
+        // Count a realloc as one allocation and one free (it may move), so
+        // the alloc/free balance stays exact.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        FREES.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -57,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 pub struct AllocSnapshot {
     /// Number of `alloc`/`realloc` calls so far.
     pub allocs: u64,
-    /// Number of `dealloc` calls so far.
+    /// Number of `dealloc`/`realloc` calls so far.
     pub frees: u64,
     /// Total bytes requested so far.
     pub bytes: u64,
@@ -83,66 +92,90 @@ pub struct MemMeasurement {
     /// after the first window has warmed the queue — 0.0 for a queue that
     /// recycles its nodes.
     pub steady_allocs_per_item: f64,
-    /// Alloc/free imbalance after the queue is dropped — must be ~0 for a
-    /// queue with working reclamation, and is exactly the number the paper
-    /// uses against FK ("successive enqueues will allocate new nodes that
-    /// will never be deleted", §4).
+    /// Alloc/free imbalance over the queue's whole life, from before it is
+    /// built to after its thread is joined — exactly 0 for a queue with
+    /// working reclamation, and the number the paper uses against FK
+    /// ("successive enqueues will allocate new nodes that will never be
+    /// deleted", §4).
     pub leaked_allocs: i64,
     /// The queue's node-pool counters at the end of the run, if it has a
     /// recycling pool.
     pub pool: Option<PoolStats>,
 }
 
-/// Allocations per item for `kind`: builds the queue, then measures two
-/// back-to-back windows of `items` single-threaded enqueue+dequeue cycles
-/// (cold, then steady-state), excluding construction.
-pub fn measure_memory(kind: QueueKind, items: u64) -> MemMeasurement {
-    assert!(items > 0);
-    with_queue_family!(kind, F => measure_family::<F>(items))
+/// The snapshots one queue's life reports to [`measure_life`].
+#[derive(Debug, Clone, Copy)]
+pub struct LifeWindows {
+    /// Before the first measured transfer (after any warm-up).
+    pub before: AllocSnapshot,
+    /// After the first (cold) window of `items` transfers.
+    pub mid: AllocSnapshot,
+    /// After the second (steady-state) window.
+    pub steady: AllocSnapshot,
+    /// The queue's node-pool counters before it drops.
+    pub pool: Option<PoolStats>,
 }
 
-/// Compatibility wrapper for [`measure_memory`]: `(allocs_per_item,
-/// leaked_allocs)` of the cold window.
-pub fn measure_allocs_per_item(kind: QueueKind, items: u64) -> (f64, i64) {
-    let m = measure_memory(kind, items);
-    (m.allocs_per_item, m.leaked_allocs)
+/// Table 4's protocol around one queue's whole life: `life` builds the
+/// queue, runs its two windows of `items` transfers, reads its pool and
+/// drops it, all on a thread of its own. The leak count runs from a
+/// snapshot before that thread starts to one after it is joined, when its
+/// thread-local state has been freed too.
+pub fn measure_life<L>(items: u64, life: L) -> MemMeasurement
+where
+    L: FnOnce() -> LifeWindows + Send,
+{
+    assert!(items > 0);
+    let baseline = alloc_snapshot();
+    let w = std::thread::scope(|s| s.spawn(life).join().expect("measured thread panicked"));
+    let after = alloc_snapshot();
+    MemMeasurement {
+        allocs_per_item: (w.mid.allocs - w.before.allocs) as f64 / items as f64,
+        steady_allocs_per_item: (w.steady.allocs - w.mid.allocs) as f64 / items as f64,
+        leaked_allocs: (after.allocs - baseline.allocs) as i64
+            - (after.frees - baseline.frees) as i64,
+        pool: w.pool,
+    }
+}
+
+/// Allocations per item for `kind`: builds the queue, then measures two
+/// back-to-back windows of `items` single-threaded enqueue+dequeue cycles
+/// (cold, then steady-state), excluding construction; the leak count spans
+/// the whole life ([`measure_life`]).
+pub fn measure_memory(kind: QueueKind, items: u64) -> MemMeasurement {
+    with_queue_family!(kind, F => measure_family::<F>(items))
 }
 
 /// [`measure_memory`] for a [`QueueFamily`] outside the [`QueueKind`]
 /// dispatch table (e.g. `turnq-bounded`, which the harness crate cannot
 /// depend on without a cycle).
 pub fn measure_family<F: QueueFamily>(items: u64) -> MemMeasurement {
-    let queue = F::with_max_threads::<u64>(2);
-    // Warm the structure (first ops may lazily allocate registry slots).
-    queue.enqueue(0);
-    let _ = queue.dequeue();
+    measure_life(items, || {
+        let queue = F::with_max_threads::<u64>(2);
+        // Warm the structure (first ops may lazily allocate registry slots).
+        queue.enqueue(0);
+        let _ = queue.dequeue();
 
-    let before = alloc_snapshot();
-    for i in 0..items {
-        queue.enqueue(i);
-        let got = queue.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let mid = alloc_snapshot();
-    // Second window: the first has primed any recycling caches, so this is
-    // the steady-state figure.
-    for i in 0..items {
-        queue.enqueue(i);
-        let got = queue.dequeue();
-        debug_assert_eq!(got, Some(i));
-    }
-    let steady = alloc_snapshot();
-    let pool = queue.pool_stats();
-    drop(queue);
-    let after = alloc_snapshot();
-
-    MemMeasurement {
-        allocs_per_item: (mid.allocs - before.allocs) as f64 / items as f64,
-        steady_allocs_per_item: (steady.allocs - mid.allocs) as f64 / items as f64,
-        leaked_allocs: (after.allocs - before.allocs) as i64
-            - (after.frees - before.frees) as i64,
-        pool,
-    }
+        let transfers = || {
+            for i in 0..items {
+                queue.enqueue(i);
+                let got = queue.dequeue();
+                debug_assert_eq!(got, Some(i));
+            }
+            alloc_snapshot()
+        };
+        let before = alloc_snapshot();
+        let mid = transfers();
+        // Second window: the first has primed any recycling caches, so
+        // this is the steady-state figure.
+        let steady = transfers();
+        LifeWindows {
+            before,
+            mid,
+            steady,
+            pool: queue.pool_stats(),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -167,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_counts_realloc_as_alloc() {
+    fn wrapper_counts_realloc_as_alloc_and_free() {
         let a = CountingAllocator;
         let layout = Layout::from_size_align(32, 8).unwrap();
         let p = unsafe { a.alloc(layout) };
@@ -177,19 +210,19 @@ mod tests {
         assert!(!p2.is_null());
         let after = alloc_snapshot();
         assert_eq!(after.allocs - before.allocs, 1);
+        assert_eq!(after.frees - before.frees, 1);
         unsafe { a.dealloc(p2, Layout::from_size_align(128, 8).unwrap()) };
     }
 
     // Without the global registration the per-item measurement sees zero
     // deltas; assert the plumbing tolerates that rather than dividing by a
     // surprise. (The real measurement happens in the table4 binary, which
-    // registers the allocator — the integration test `reclamation.rs`
-    // asserts the leak numbers.)
+    // registers the allocator and fails on any nonzero leak count.)
     #[test]
     fn measurement_runs_without_global_registration() {
-        let (per_item, leaked) = measure_allocs_per_item(QueueKind::Turn, 100);
-        assert!(per_item >= 0.0);
+        let m = measure_memory(QueueKind::Turn, 100);
+        assert!(m.allocs_per_item >= 0.0);
         // leaked can be 0 here because nothing was counted.
-        assert!(leaked.abs() < 1_000);
+        assert!(m.leaked_allocs.abs() < 1_000);
     }
 }

@@ -6,15 +6,11 @@
 //!
 //! The paper (§5): "the algorithm for enqueueing is independent from the
 //! algorithm for dequeuing which means it can used to make a SPMC or MPSC
-//! queue". This example runs both variants, and contrasts the Turn MPSC
-//! with Vyukov's MPSC — whose enqueue is cheaper (one swap) but whose
-//! dequeue is *blocking*: a producer stalled mid-enqueue hides all newer
-//! items (demonstrated live below).
+//! queue". This example runs both variants.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use turnq_repro::baselines::VyukovMpscQueue;
 use turnq_repro::{TurnMpscQueue, TurnSpmcQueue};
 
 fn mpsc_demo() {
@@ -96,21 +92,8 @@ fn spmc_demo() {
     });
 }
 
-fn vyukov_contrast() {
-    println!("-- Vyukov MPSC contrast: blocking dequeue under a lagging producer --");
-    let q: VyukovMpscQueue<u64> = VyukovMpscQueue::new();
-    q.enqueue(1);
-    let mut c = q.consumer().unwrap();
-    assert_eq!(c.dequeue(), Some(1));
-    println!("   normal path works; see `lagging_producer_blocks_consumer`");
-    println!("   in turnq-baselines for the live deadlock-window demo —");
-    println!("   the Turn MPSC has no such window: its enqueue is wait-free");
-    println!("   bounded and the list is never disconnected.");
-}
-
 fn main() {
     mpsc_demo();
     spmc_demo();
-    vyukov_contrast();
     println!("all variant demos passed.");
 }

@@ -13,7 +13,9 @@
 //! * [`KPQueue`] — the Kogan–Petrank port with HP + CHP (`turnq-kp`);
 //! * [`ShardedTurnQueue`] — the coordination-free multi-lane front-end
 //!   with bounded k-relaxation (`turnq-sharded`, DESIGN.md §6e);
-//! * [`baselines`] — Michael–Scott, mutex, Vyukov MPSC, FAA-array
+//! * [`BoundedQueue`] — the wait-free bounded MPMC ring, the
+//!   memory-bounded contrast (`turnq-bounded`, DESIGN.md §6f);
+//! * [`baselines`] — Michael–Scott, mutex, FAA-array
 //!   (`turnq-baselines`);
 //! * [`harness`] — the paper's measurement protocols (`turnq-harness`);
 //! * [`linearize`] — history recording and linearizability checking

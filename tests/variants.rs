@@ -1,6 +1,6 @@
 //! Integration tests for the pluggable variants (§5): composing the Turn
-//! MPSC and SPMC halves into pipelines, and cross-checking them against
-//! the Vyukov MPSC and the bounded SPSC ring on the same workloads.
+//! MPSC and SPMC halves into pipelines, with a bounded ring as a
+//! backpressure stage.
 //!
 //! Also home of the dual-mode ordering gate: CI runs this suite once on
 //! the relaxed default build and once with `--features seqcst` (which
@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use turnq_repro::baselines::{Full, SpscRing, VyukovMpscQueue};
+use turnq_repro::bounded::Full;
 use turnq_repro::linearize::recorder::RecordConfig;
 use turnq_repro::linearize::{check_history, record_history, CheckResult};
 use turnq_repro::{
@@ -92,97 +92,68 @@ fn mpsc_to_spmc_pipeline() {
     });
 }
 
-/// The same MPSC workload through Turn and Vyukov must deliver identical
-/// multisets with identical per-producer orderings.
+/// An MPSC workload through the Turn MPSC must deliver the exact multiset
+/// with every producer's items in order.
 #[test]
-fn turn_and_vyukov_mpsc_agree() {
+fn turn_mpsc_keeps_per_producer_fifo() {
     const PRODUCERS: usize = 3;
     const PER: u64 = 3_000;
 
-    fn run_turn(producers: usize, per: u64) -> Vec<u64> {
-        let q: Arc<TurnMpscQueue<u64>> =
-            Arc::new(TurnMpscQueue::with_max_threads(producers + 1));
-        std::thread::scope(|s| {
-            for p in 0..producers {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..per {
-                        q.enqueue((p as u64) << 40 | i);
-                    }
-                });
-            }
-            let mut c = q.consumer().unwrap();
-            let mut got = Vec::new();
-            while got.len() < producers * per as usize {
-                match c.dequeue() {
-                    Some(v) => got.push(v),
-                    None => std::thread::yield_now(),
+    let q: Arc<TurnMpscQueue<u64>> = Arc::new(TurnMpscQueue::with_max_threads(PRODUCERS + 1));
+    let got = std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let q = Arc::clone(&q);
+            s.spawn(move || {
+                for i in 0..PER {
+                    q.enqueue((p as u64) << 40 | i);
                 }
-            }
-            got
-        })
-    }
-
-    fn run_vyukov(producers: usize, per: u64) -> Vec<u64> {
-        let q: Arc<VyukovMpscQueue<u64>> = Arc::new(VyukovMpscQueue::new());
-        std::thread::scope(|s| {
-            for p in 0..producers {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..per {
-                        q.enqueue((p as u64) << 40 | i);
-                    }
-                });
-            }
-            let mut c = q.consumer().unwrap();
-            let mut got = Vec::new();
-            while got.len() < producers * per as usize {
-                match c.dequeue() {
-                    Some(v) => got.push(v),
-                    None => std::thread::yield_now(),
-                }
-            }
-            got
-        })
-    }
-
-    for got in [run_turn(PRODUCERS, PER), run_vyukov(PRODUCERS, PER)] {
-        // Exact multiset.
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), PRODUCERS * PER as usize);
-        // Per-producer FIFO.
-        let mut last = [-1i64; PRODUCERS];
-        for v in got {
-            let (p, i) = ((v >> 40) as usize, (v & 0xff_ffff_ffff) as i64);
-            assert!(i > last[p]);
-            last[p] = i;
+            });
         }
+        let mut c = q.consumer().unwrap();
+        let mut got = Vec::new();
+        while got.len() < PRODUCERS * PER as usize {
+            match c.dequeue() {
+                Some(v) => got.push(v),
+                None => std::thread::yield_now(),
+            }
+        }
+        got
+    });
+    // Exact multiset.
+    let mut sorted = got.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), PRODUCERS * PER as usize);
+    // Per-producer FIFO.
+    let mut last = [-1i64; PRODUCERS];
+    for v in got {
+        let (p, i) = ((v >> 40) as usize, (v & 0xff_ffff_ffff) as i64);
+        assert!(i > last[p]);
+        last[p] = i;
     }
 }
 
-/// Backpressure loop: bounded SPSC ring feeding a Turn SPMC stage. The
-/// bounded stage applies backpressure (Full errors); nothing may be lost.
+/// Backpressure loop: a bounded ring (capacity 32) feeding a Turn SPMC
+/// stage. The bounded stage applies backpressure (Full errors); nothing
+/// may be lost.
 #[test]
 fn bounded_front_unbounded_back() {
     const TOTAL: u64 = 20_000;
     const CONSUMERS: usize = 2;
-    let ring: Arc<SpscRing<u64>> = Arc::new(SpscRing::with_capacity(32));
+    let front: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::with_capacity(32, 2));
     let stage2: Arc<TurnSpmcQueue<u64>> =
         Arc::new(TurnSpmcQueue::with_max_threads(CONSUMERS + 1));
     let pumped = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|s| {
         {
-            let ring = Arc::clone(&ring);
+            let front = Arc::clone(&front);
             s.spawn(move || {
-                let mut tx = ring.producer().unwrap();
                 let mut backpressure_hits = 0u64;
                 for i in 0..TOTAL {
                     let mut item = i;
                     loop {
-                        match tx.try_enqueue(item) {
+                        match front.try_enqueue(item) {
                             Ok(()) => break,
                             Err(Full(back)) => {
                                 item = back;
@@ -197,15 +168,14 @@ fn bounded_front_unbounded_back() {
             });
         }
         {
-            let ring = Arc::clone(&ring);
+            let front = Arc::clone(&front);
             let stage2 = Arc::clone(&stage2);
             let pumped = Arc::clone(&pumped);
             s.spawn(move || {
-                let mut rx = ring.consumer().unwrap();
                 let mut tx = stage2.producer().unwrap();
                 let mut moved = 0;
                 while moved < TOTAL {
-                    match rx.dequeue() {
+                    match front.try_dequeue() {
                         Some(v) => {
                             tx.enqueue(v);
                             moved += 1;
