@@ -125,9 +125,6 @@ struct Ring {
     threshold: CachePadded<AtomicI64>,
     /// log2 of the entry count.
     order: u32,
-    /// Value stored by the threshold reset (`3·capacity − 1` in
-    /// production; overridden only by the modelcheck mutant knob).
-    reset: i64,
 }
 
 impl Ring {
@@ -135,17 +132,17 @@ impl Ring {
         1u64 << self.order
     }
 
-    /// The production reset value for a ring holding up to `half` values
-    /// in `2·half` entries: `half + n − 1 = 3·half − 1` (SCQ §4).
-    fn threshold_reset(half: usize) -> i64 {
-        (3 * half - 1) as i64
+    /// The threshold reset value of a ring of `2^order` entries holding
+    /// up to half as many values: `half + n − 1 = 3·half − 1` (SCQ §4).
+    fn threshold_reset(order: u32) -> i64 {
+        3 * (1i64 << (order - 1)) - 1
     }
 
     /// An empty ring (used for `aq`). Tickets start one full cycle ahead
     /// of the entry init cycle (`head = tail = n`, the lfring idiom) so
     /// the very first install finds `ecycle < c` without burning a
     /// revolution.
-    fn new_empty(order: u32, reset: i64) -> Ring {
+    fn new_empty(order: u32) -> Ring {
         let n = 1usize << order;
         let entries = (0..n)
             // Single-threaded constructor (no ordering site): publication
@@ -159,7 +156,6 @@ impl Ring {
             head: CachePadded::new(AtomicU64::new(n as u64)),
             threshold: CachePadded::new(AtomicI64::new(-1)),
             order,
-            reset,
         }
     }
 
@@ -167,7 +163,7 @@ impl Ring {
     /// `half` inserts with tickets `n..n+half` already ran, so the
     /// prefilled entries sit at cycle 1 where `head = n`'s dequeue
     /// tickets find them.
-    fn new_full(order: u32, reset: i64) -> Ring {
+    fn new_full(order: u32) -> Ring {
         let n = 1usize << order;
         let half = n / 2;
         let entries = (0..n)
@@ -184,22 +180,30 @@ impl Ring {
             entries,
             tail: CachePadded::new(AtomicU64::new((n + half) as u64)),
             head: CachePadded::new(AtomicU64::new(n as u64)),
-            threshold: CachePadded::new(AtomicI64::new(reset)),
+            threshold: CachePadded::new(AtomicI64::new(Ring::threshold_reset(order))),
             order,
-            reset,
         }
     }
 
     /// Reset the threshold after a successful insert (store, not RMW —
     /// SCQ's own optimization: redundant resets are elided).
     fn reset_threshold(&self) {
+        // The reset value is what makes a negative threshold a sound
+        // emptiness verdict. The modelcheck mutant `bq.threshold-reset`
+        // resets to 0, so a single failed round reports empty while a
+        // completed insert's item is reachable.
+        let reset = if turnq_sync::mutant("bq.threshold-reset") {
+            0
+        } else {
+            Ring::threshold_reset(self.order)
+        };
         // ORDERING(bq.threshold): SEQ_CST — the threshold counter is the
         // emptiness verdict (pattern 3): resets, decrements, and the
         // negative-read that answers `None`/`Full` must agree in one
         // total order with the ticket FAAs, or a dequeuer could report
         // empty for an item whose insert already linearized.
-        if self.threshold.load(ord::SEQ_CST) != self.reset {
-            self.threshold.store(self.reset, ord::SEQ_CST);
+        if self.threshold.load(ord::SEQ_CST) != reset {
+            self.threshold.store(reset, ord::SEQ_CST);
         }
     }
 
@@ -421,8 +425,6 @@ pub struct BoundedBuilder {
     max_threads: usize,
     fast_tries: usize,
     defer_spins: usize,
-    help_scan: bool,
-    threshold_reset_override: Option<i64>,
 }
 
 impl Default for BoundedBuilder {
@@ -438,8 +440,6 @@ impl BoundedBuilder {
             max_threads: 8,
             fast_tries: DEFAULT_FAST_TRIES,
             defer_spins: DEFAULT_DEFER_SPINS,
-            help_scan: true,
-            threshold_reset_override: None,
         }
     }
 
@@ -477,36 +477,10 @@ impl BoundedBuilder {
         self
     }
 
-    /// Test-only: disable the request-slot helping scan (verdict delivery
-    /// *and* the defer window). This deliberately breaks the
-    /// O(MAX_THREADS) bound — it exists so the modelcheck mutant suite can
-    /// demonstrate the starvation the scan prevents. Never disable it in
-    /// production.
-    #[doc(hidden)]
-    pub fn help_scan_for_tests(mut self, enabled: bool) -> Self {
-        self.help_scan = enabled;
-        self
-    }
-
-    /// Test-only: override the threshold reset value of the
-    /// allocated-index ring (the dequeue-side emptiness verdict). The
-    /// production value `3·capacity − 1` is what makes a negative
-    /// threshold a sound emptiness verdict; a smaller value makes
-    /// dequeues report `None` while completed items are reachable.
-    /// Exists so the modelcheck mutant suite can demonstrate the
-    /// linearizability violation. Never set it in production.
-    #[doc(hidden)]
-    pub fn threshold_reset_for_tests(mut self, reset: i64) -> Self {
-        self.threshold_reset_override = Some(reset);
-        self
-    }
-
     /// Build the queue.
     pub fn build<T: Send>(self) -> BoundedQueue<T> {
         let cap = self.capacity;
         let order = (2 * cap).trailing_zeros();
-        let fq_reset = Ring::threshold_reset(cap);
-        let aq_reset = self.threshold_reset_override.unwrap_or(fq_reset);
         let max_threads = self.max_threads;
         let registry = ThreadRegistry::new(max_threads);
         let data = (0..cap)
@@ -525,15 +499,14 @@ impl BoundedBuilder {
             .into_boxed_slice();
         BoundedQueue {
             data,
-            aq: Ring::new_empty(order, aq_reset),
-            fq: Ring::new_full(order, fq_reset),
+            aq: Ring::new_empty(order),
+            fq: Ring::new_full(order),
             records,
             pending: CachePadded::new(AtomicUsize::new(0)),
             registry,
             telemetry: Arc::new(TelemetrySheet::new(max_threads)),
             fast_tries: self.fast_tries,
             defer_spins: self.defer_spins,
-            help_scan: self.help_scan,
             capacity: cap,
         }
     }
@@ -565,7 +538,6 @@ pub struct BoundedQueue<T> {
     telemetry: Arc<TelemetrySheet>,
     fast_tries: usize,
     defer_spins: usize,
-    help_scan: bool,
     capacity: usize,
 }
 
@@ -615,7 +587,9 @@ impl<T: Send> BoundedQueue<T> {
     /// O(MAX_THREADS) scan + O(defer_spins) wait — both constants of the
     /// step bound.
     fn maybe_help(&self, tid: usize) {
-        if !self.help_scan {
+        // Modelcheck mutant: drop the scan, and with it the defer window
+        // that bounds a published request's rounds.
+        if turnq_sync::mutant("bq.help-scan") {
             return;
         }
         // ORDERING(bq.req-pending): SEQ_CST — the panic-flag Dekker
@@ -1145,25 +1119,5 @@ mod tests {
         assert_eq!(s.min_heap_allocs_per_item, 0);
         assert_eq!(s.steady_state_allocs_per_item, 0);
         assert_eq!(s.node_bytes, 0);
-    }
-
-    #[test]
-    fn broken_threshold_reports_false_empty() {
-        // The unit-level demonstration of what the modelcheck mutant
-        // catches exhaustively: a tiny threshold reset makes the dequeue
-        // report empty while an item is reachable after enough burned
-        // tickets.
-        let q: BoundedQueue<u32> = BoundedBuilder::new()
-            .capacity(2)
-            .max_threads(1)
-            .threshold_reset_for_tests(0)
-            .build();
-        q.try_enqueue(5).unwrap();
-        // threshold == 0: the first burned round flips it negative. A
-        // burned round needs a hole; force one by consuming and
-        // re-enqueueing so head/tail wrap leaves stale cycles behind.
-        assert_eq!(q.try_dequeue(), Some(5));
-        q.try_enqueue(6).unwrap();
-        assert_eq!(q.try_dequeue(), Some(6));
     }
 }

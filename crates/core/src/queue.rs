@@ -127,13 +127,6 @@ pub struct TurnQueue<T> {
     /// operation is paper-literal CRTurn). Defaults to
     /// [`DEFAULT_FAST_TRIES`].
     fast_tries: u32,
-    /// The fast path's starvation guard ("panic flag", §6c): every fast
-    /// attempt scans the consensus array and falls back on any pending
-    /// slow-path request, so fast threads cannot starve a published
-    /// request. Always `true` in production; disabled only through the
-    /// hidden [`TurnQueueBuilder::panic_check_for_tests`] knob so the
-    /// modelcheck mutant can prove the guard is load-bearing.
-    panic_check: bool,
     /// Stall-watchdog threshold in nanoseconds (`u64::MAX` = disabled):
     /// when a completed operation's measured latency reaches it, the
     /// flight recorder dumps a structured report (the stalled op and the
@@ -173,10 +166,8 @@ pub struct TurnQueueBuilder {
     pub(crate) max_threads: usize,
     pub(crate) pool_capacity: Option<usize>,
     fast_tries: Option<u32>,
-    panic_check: bool,
     stall_threshold_ns: u64,
     pub(crate) seg_size: Option<usize>,
-    pub(crate) seg_drained_guard: bool,
     /// Set by [`build_seg`](Self::build_seg)'s path only: the inner queue's
     /// node pool keeps ring payloads across recycling (see `pool.rs`).
     pub(crate) pool_retain_payload: bool,
@@ -189,10 +180,8 @@ impl Default for TurnQueueBuilder {
             max_threads: DEFAULT_MAX_THREADS,
             pool_capacity: None,
             fast_tries: None,
-            panic_check: true,
             stall_threshold_ns: u64::MAX,
             seg_size: None,
-            seg_drained_guard: true,
             pool_retain_payload: false,
             registry: None,
         }
@@ -272,16 +261,6 @@ impl TurnQueueBuilder {
         self
     }
 
-    /// Test-only: disable the fast path's pending-request ("panic flag")
-    /// scan. This deliberately breaks the wait-free bound — it exists so
-    /// the modelcheck mutant suite can demonstrate the starvation the scan
-    /// prevents. Never disable it in production.
-    #[doc(hidden)]
-    pub fn panic_check_for_tests(mut self, enabled: bool) -> Self {
-        self.panic_check = enabled;
-        self
-    }
-
     /// Segment size K for [`build_seg`](Self::build_seg) (DESIGN.md §6d):
     /// items per linked node. Producers and consumers claim cells inside a
     /// segment with one FAA each and pay CRTurn consensus only at segment
@@ -306,29 +285,14 @@ impl TurnQueueBuilder {
         self
     }
 
-    /// Test-only: disable the drained-segment guard — the rule that a
-    /// consumer may swing `head` past a segment only after its own FAA
-    /// ticket proves all K cells are covered by unique consumers. Without
-    /// it the head advances as soon as a successor exists, abandoning
-    /// undelivered cells. Exists so the modelcheck mutant suite can
-    /// demonstrate the loss the guard prevents. Never disable it in
-    /// production.
-    #[doc(hidden)]
-    pub fn seg_drained_guard_for_tests(mut self, enabled: bool) -> Self {
-        self.seg_drained_guard = enabled;
-        self
-    }
-
     /// Build the queue.
     pub fn build<T>(self) -> TurnQueue<T> {
         let TurnQueueBuilder {
             max_threads,
             pool_capacity,
             fast_tries,
-            panic_check,
             stall_threshold_ns,
             seg_size: _,
-            seg_drained_guard: _,
             pool_retain_payload,
             registry,
         } = self;
@@ -399,7 +363,6 @@ impl TurnQueueBuilder {
             registry_shared,
             telemetry,
             fast_tries,
-            panic_check,
             stall_threshold_ns,
         }
     }
@@ -685,8 +648,11 @@ impl<T> TurnQueue<T> {
                 self.telemetry.bump(myidx, CounterId::FastEnqRetry);
                 continue;
             }
-            if self.panic_check && self.enqueue_request_pending() {
-                break; // a published request must not be starved — fall back
+            // The fast path's starvation guard ("panic flag", §6c): a
+            // published request must not be starved — fall back. The
+            // modelcheck mutant `q.panic-check` drops it.
+            if !turnq_sync::mutant("q.panic-check") && self.enqueue_request_pending() {
+                break;
             }
             // SAFETY(hp-validate): ltail is protected and validated; HP
             // keeps it alive.
@@ -1006,7 +972,7 @@ impl<T> TurnQueue<T> {
                 self.telemetry.bump(myidx, CounterId::FastDeqRetry);
                 continue;
             }
-            if self.panic_check && self.dequeue_request_pending() {
+            if !turnq_sync::mutant("q.panic-check") && self.dequeue_request_pending() {
                 break; // a published request must not be starved — fall back
             }
             // SAFETY(hp-validate): lhead is protected and validated; HP

@@ -273,12 +273,6 @@ pub struct SegTurnQueue<T> {
     /// only at segment boundaries.
     inner: TurnQueue<SegRing<T>>,
     seg_size: usize,
-    /// The drained-segment guard (always `true` in production): a consumer
-    /// may advance `head` only once its own FAA ticket proves all K cells
-    /// are covered. Disabled only through the hidden
-    /// [`TurnQueueBuilder::seg_drained_guard_for_tests`] knob so the
-    /// modelcheck mutant can demonstrate the item loss the guard prevents.
-    drained_guard: bool,
 }
 
 impl<T> SegTurnQueue<T> {
@@ -439,10 +433,11 @@ impl<T> SegTurnQueue<T> {
             let lhead_ref = unsafe { &*lhead };
             // SAFETY(hp-validate): same protection as above.
             let ring = unsafe { ring_of(lhead) };
-            if !self.drained_guard {
-                // Mutant (test-only, guard disabled): advance as soon as a
-                // successor exists, abandoning undelivered cells — the loss
-                // the modelcheck boundary mutant catches.
+            if turnq_sync::mutant("sg.drained-guard") {
+                // Modelcheck mutant: drop the drained-segment guard (a
+                // consumer advances `head` only once its own FAA ticket
+                // proves all K cells covered) and advance as soon as a
+                // successor exists, abandoning undelivered cells.
                 // ORDERING(q.fast-empty-check): SEQ_CST — mirrors the
                 // guarded advance below. pairs=q.link-cas
                 let lnext = lhead_ref.next.load(ord::SEQ_CST);
@@ -588,12 +583,10 @@ impl<T> SegTurnQueue<T> {
 }
 
 impl<T: Send> SegTurnQueue<T> {
-    pub(crate) fn from_builder(builder: TurnQueueBuilder) -> Self {
+    pub(crate) fn from_builder(mut builder: TurnQueueBuilder) -> Self {
         let k = builder.seg_size.unwrap_or(DEFAULT_SEG_SIZE);
         // The setter validates; this re-checks the defaults path.
         debug_assert!(k >= 2 && k.is_power_of_two());
-        let drained_guard = builder.seg_drained_guard;
-        let mut builder = builder;
         // Retired segments keep their ring allocation through the pool so
         // a steady-state append reuses both the node and the cells array.
         builder.pool_retain_payload = true;
@@ -621,7 +614,6 @@ impl<T: Send> SegTurnQueue<T> {
         SegTurnQueue {
             inner,
             seg_size: k,
-            drained_guard,
         }
     }
 
@@ -1011,29 +1003,6 @@ mod tests {
             let q: SegTurnQueue<crate::drop_probe::Item> = seg_queue(2, seg);
             crate::drop_probe::assert_drop_frees_all(q, SegTurnQueue::enqueue, n, panic_id);
         }
-    }
-
-    #[test]
-    fn drained_guard_mutant_loses_segment_contents() {
-        // Document the guard's job: with it disabled, the head advances
-        // past a segment the moment a successor exists, abandoning the
-        // K undelivered items — dequeue returns item K+1 first. This is
-        // the deterministic single-thread shadow of the modelcheck
-        // boundary mutant.
-        let k = 4;
-        let q: SegTurnQueue<u32> = TurnQueueBuilder::new()
-            .max_threads(1)
-            .seg_size(k)
-            .seg_drained_guard_for_tests(false)
-            .build_seg();
-        for i in 0..(k as u32 + 1) {
-            q.enqueue(i);
-        }
-        assert_eq!(
-            q.dequeue(),
-            Some(k as u32),
-            "the mutant must skip the first segment's items"
-        );
     }
 
     #[test]

@@ -115,6 +115,11 @@ pub struct Config {
     /// The default 1 is the strict FIFO oracle; sharded-queue scenarios
     /// set it to `ShardedTurnQueue::relaxation_k()`.
     pub relaxed_k: usize,
+    /// Seeded mutants planted in every run (`turnq_sync::mutant` site
+    /// ids, e.g. `"q.panic-check"`): visible to the scenario factory, the
+    /// run's workers and its post-check, and to no other exploration.
+    /// Empty (the default) explores the production code.
+    pub mutants: &'static [&'static str],
 }
 
 impl Default for Config {
@@ -129,6 +134,7 @@ impl Default for Config {
             step_bound: None,
             max_states: 2_000_000,
             relaxed_k: 1,
+            mutants: &[],
         }
     }
 }
@@ -427,6 +433,7 @@ pub fn explore<F>(cfg: &Config, factory: F) -> Report
 where
     F: Fn(OpLogger) -> Scenario,
 {
+    let _planted = rt::plant(cfg.mutants);
     let pool = ThreadPool::new(cfg.threads);
     let mut report = Report {
         executed: 0,
@@ -494,6 +501,7 @@ where
         .filter(|s| !s.is_empty())
         .map(|s| s.trim().parse().expect("schedule items are thread ids"))
         .collect();
+    let _planted = rt::plant(cfg.mutants);
     let pool = ThreadPool::new(cfg.threads);
     let logger = OpLogger::new();
     let mut report = Report {
@@ -872,6 +880,50 @@ mod tests {
             }
         });
         report.assert_clean();
+    }
+
+    /// A planted mutant is visible to its own exploration only: two
+    /// explorations run side by side, one planting a site, and the
+    /// factory, the workers and the post-check of each see exactly its
+    /// own set. Both factories meet at a barrier on their first run, so
+    /// each thread reads the hook while the other's set is planted.
+    #[test]
+    fn planted_mutants_stay_with_their_exploration() {
+        const SITE: &str = "mc.hook-test";
+        let factories_met = std::sync::Barrier::new(2);
+        let explore_planting = |mutants: &'static [&'static str]| {
+            let planted = !mutants.is_empty();
+            let cfg = Config {
+                threads: 2,
+                budget: 20,
+                dfs_budget: 20,
+                mutants,
+                ..Config::default()
+            };
+            let first_run = std::sync::Once::new();
+            let report = explore(&cfg, |_log| {
+                first_run.call_once(|| {
+                    factories_met.wait();
+                });
+                assert_eq!(turnq_sync::mutant(SITE), planted, "factory thread");
+                let worker = move || assert_eq!(turnq_sync::mutant(SITE), planted, "worker");
+                Scenario {
+                    bodies: vec![Box::new(worker), Box::new(worker)],
+                    post: Some(Box::new(move || match turnq_sync::mutant(SITE) == planted {
+                        true => Ok(()),
+                        false => Err("post-check sees the other exploration's set".into()),
+                    })),
+                }
+            });
+            assert!(!turnq_sync::mutant(SITE), "the plant must end with its exploration");
+            report
+        };
+        std::thread::scope(|s| {
+            let planted = s.spawn(|| explore_planting(&[SITE]));
+            let production = s.spawn(|| explore_planting(&[]));
+            planted.join().unwrap().assert_clean();
+            production.join().unwrap().assert_clean();
+        });
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! FAA-claimed ring rounds — racing installs, consume CASes, hole
 //! advances, threshold accounting, and request-slot publications — stays
 //! strictly linearizable, race free, and within [`bounded_step_bound`].
-//! The mutants:
+//! The mutants, planted through [`Config::mutants`]:
 //!
-//! * `threshold_reset_for_tests(0)` breaks the threshold-counter
-//!   emptiness verdict: a single failed dequeue round then flips the
-//!   counter negative, so a dequeue reports `None` while a *completed*
-//!   enqueue's item is still reachable — a false empty the oracle must
-//!   reject as `not-linearizable` on a replayable schedule;
-//! * `help_scan_for_tests(false)` drops the request-slot helping scan
+//! * `bq.threshold-reset` breaks the threshold-counter emptiness verdict
+//!   (every ring's reset stores 0 instead of `3·capacity − 1`): a single
+//!   failed dequeue round then flips the counter negative, so a dequeue
+//!   reports `None` while a *completed* enqueue's item is still
+//!   reachable — a false empty the oracle must reject as
+//!   `not-linearizable` on a replayable schedule;
+//! * `bq.help-scan` drops the request-slot helping scan
 //!   (verdict delivery and the defer window): under an adversarial
 //!   3-thread schedule two churn threads sustain the SCQ burn cycle —
 //!   every install for the victim's claimed ticket is mid-flight when
@@ -198,37 +199,32 @@ fn bounded_slow_path_with_helping_explores_clean() {
 /// item; with the mutant reset (0) the first decrement flips the verdict
 /// negative and the dequeue returns `None` while a completed enqueue's
 /// item sits in the ring.
-fn threshold_scenario(reset: Option<i64>) -> impl Fn(OpLogger) -> Scenario {
-    move |log| {
-        let mut b = BoundedBuilder::new().capacity(2).max_threads(3);
-        if let Some(r) = reset {
-            b = b.threshold_reset_for_tests(r);
-        }
-        let q: Arc<BoundedQueue<u64>> = Arc::new(b.build());
-        let qp = Arc::clone(&q);
-        let q0 = Arc::clone(&q);
-        let q1 = Arc::clone(&q);
-        let q2 = q;
-        let l0 = log.clone();
-        let l1 = log.clone();
-        let l2 = log;
-        Scenario {
-            bodies: vec![
-                Box::new(move || {
-                    l0.enqueue(0, 1, || q0.enqueue(1));
-                }),
-                Box::new(move || {
-                    l1.enqueue(1, 2, || q1.enqueue(2));
-                }),
-                Box::new(move || {
-                    l2.dequeue(2, || q2.dequeue());
-                }),
-            ],
-            post: Some(Box::new(move || {
-                drop(qp);
-                Ok(())
-            })),
-        }
+fn threshold_scenario(log: OpLogger) -> Scenario {
+    let q: Arc<BoundedQueue<u64>> =
+        Arc::new(BoundedBuilder::new().capacity(2).max_threads(3).build());
+    let qp = Arc::clone(&q);
+    let q0 = Arc::clone(&q);
+    let q1 = Arc::clone(&q);
+    let q2 = q;
+    let l0 = log.clone();
+    let l1 = log.clone();
+    let l2 = log;
+    Scenario {
+        bodies: vec![
+            Box::new(move || {
+                l0.enqueue(0, 1, || q0.enqueue(1));
+            }),
+            Box::new(move || {
+                l1.enqueue(1, 2, || q1.enqueue(2));
+            }),
+            Box::new(move || {
+                l2.dequeue(2, || q2.dequeue());
+            }),
+        ],
+        post: Some(Box::new(move || {
+            drop(qp);
+            Ok(())
+        })),
     }
 }
 
@@ -247,9 +243,10 @@ fn bounded_broken_threshold_mutant_false_empty() {
         budget: 2_000,
         dfs_budget: 50_000,
         preemption_bound: Some(1),
+        mutants: &["bq.threshold-reset"],
         ..Config::default()
     };
-    let report = explore(&cfg, threshold_scenario(Some(0)));
+    let report = explore(&cfg, threshold_scenario);
     let violation = report
         .violation
         .as_ref()
@@ -259,7 +256,7 @@ fn bounded_broken_threshold_mutant_false_empty() {
     report.assert_caught("not-linearizable");
 
     let schedule = violation.schedule.clone();
-    let replayed = replay(&cfg, threshold_scenario(Some(0)), &schedule);
+    let replayed = replay(&cfg, threshold_scenario, &schedule);
     replayed.assert_caught("not-linearizable");
 }
 
@@ -275,7 +272,7 @@ fn bounded_threshold_control_explores_clean() {
         preemption_bound: Some(1),
         ..Config::default()
     };
-    let report = explore(&cfg, threshold_scenario(None));
+    let report = explore(&cfg, threshold_scenario);
     report.assert_clean();
 }
 
@@ -313,14 +310,13 @@ fn starvation_schedule(periods: usize) -> String {
 /// Only the victim is logged: the oracle history is a single enqueue
 /// (always linearizable), so the step auditor's verdict is the whole
 /// test.
-fn starvation_scenario(help_scan: bool, churn: u64) -> impl Fn(OpLogger) -> Scenario {
+fn starvation_scenario(churn: u64) -> impl Fn(OpLogger) -> Scenario {
     move |log| {
         let q: Arc<BoundedQueue<u64>> = Arc::new(
             BoundedBuilder::new()
                 .capacity(4)
                 .max_threads(3)
                 .fast_tries(1)
-                .help_scan_for_tests(help_scan)
                 .build(),
         );
         let qp = Arc::clone(&q);
@@ -370,10 +366,11 @@ fn bounded_help_scan_removed_mutant_breaks_the_step_bound() {
         dfs_budget: 1,
         step_bound: Some(bound),
         step_limit: 5_000_000,
+        mutants: &["bq.help-scan"],
         ..Config::default()
     };
     let schedule = starvation_schedule(4_000);
-    let report = replay(&cfg, starvation_scenario(false, 1_200), &schedule);
+    let report = replay(&cfg, starvation_scenario(1_200), &schedule);
     // Log the full reproduction recipe so CI's --nocapture run records it.
     if let Some(v) = &report.violation {
         println!("bounded help-scan mutant caught:\n{v}");
@@ -398,7 +395,7 @@ fn bounded_help_scan_intact_survives_the_starvation_schedule() {
         ..Config::default()
     };
     let schedule = starvation_schedule(4_000);
-    let report = replay(&cfg, starvation_scenario(true, 1_200), &schedule);
+    let report = replay(&cfg, starvation_scenario(1_200), &schedule);
     report.assert_clean();
     assert!(report.max_enqueue_steps <= bound);
     println!(

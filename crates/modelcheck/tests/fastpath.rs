@@ -5,11 +5,12 @@
 //! The positive suites assert that every explored interleaving of fast
 //! CASes against a published slow-path request stays linearizable, race
 //! free, and within [`turn_step_bound`]. The mutant drops the panic-flag
-//! check (`TurnQueueBuilder::panic_check_for_tests(false)`): fast-path
-//! threads then keep winning the tail race without ever helping, the
-//! published request's helping loop burns a failed validation per fast
-//! append, and the wait-freedom auditor must flag the overrun as a
-//! `step-bound` violation on a deterministic, replayable schedule.
+//! check, planted as the `q.panic-check` site of [`Config::mutants`]:
+//! fast-path threads then keep winning the tail race without ever
+//! helping, the published request's helping loop burns a failed
+//! validation per fast append, and the wait-freedom auditor must flag the
+//! overrun as a `step-bound` violation on a deterministic, replayable
+//! schedule.
 
 use std::sync::Arc;
 use turn_queue::{TurnQueue, TurnQueueBuilder};
@@ -173,17 +174,9 @@ fn starvation_schedule(periods: usize) -> String {
     s.join(",")
 }
 
-fn starvation_scenario(
-    panic_check: bool,
-    attacker_ops: u64,
-) -> impl Fn(turnq_modelcheck::OpLogger) -> Scenario {
+fn starvation_scenario(attacker_ops: u64) -> impl Fn(turnq_modelcheck::OpLogger) -> Scenario {
     move |log| {
-        let q: Arc<TurnQueue<u64>> = Arc::new(
-            TurnQueueBuilder::new()
-                .max_threads(2)
-                .panic_check_for_tests(panic_check)
-                .build(),
-        );
+        let q: Arc<TurnQueue<u64>> = Arc::new(TurnQueueBuilder::new().max_threads(2).build());
         let q0 = Arc::clone(&q);
         let q1 = q;
         let l0 = log;
@@ -226,10 +219,11 @@ fn panic_flag_removed_mutant_breaks_the_step_bound() {
         dfs_budget: 1,
         step_bound: Some(turn_step_bound(2)),
         step_limit: 200_000,
+        mutants: &["q.panic-check"],
         ..Config::default()
     };
     let schedule = starvation_schedule(800);
-    let report = replay(&cfg, starvation_scenario(false, 1_000), &schedule);
+    let report = replay(&cfg, starvation_scenario(1_000), &schedule);
     // Log the full reproduction recipe so CI's --nocapture run records it.
     if let Some(v) = &report.violation {
         println!("panic-flag mutant caught:\n{v}");
@@ -253,7 +247,7 @@ fn panic_flag_intact_survives_the_starvation_schedule() {
         ..Config::default()
     };
     let schedule = starvation_schedule(800);
-    let report = replay(&cfg, starvation_scenario(true, 1_000), &schedule);
+    let report = replay(&cfg, starvation_scenario(1_000), &schedule);
     report.assert_clean();
     assert!(report.max_enqueue_steps <= turn_step_bound(2));
     println!(

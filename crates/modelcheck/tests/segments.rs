@@ -5,11 +5,12 @@
 //! The positive suites assert that every explored interleaving of cell
 //! claims, poisons, boundary appends, and head advances stays linearizable,
 //! race free, and within [`seg_step_bound`]. The per-item queue's stricter
-//! `turn_step_bound` is pinned by `turn_queue.rs`. The mutant disables the drained-segment guard
-//! (`TurnQueueBuilder::seg_drained_guard_for_tests(false)`): the head then
-//! advances past a segment as soon as a successor exists, abandoning its
-//! undelivered cells, and the linearizability oracle must report the lost
-//! items as `not-linearizable` on a deterministic, replayable schedule.
+//! `turn_step_bound` is pinned by `turn_queue.rs`. The mutant disables the
+//! drained-segment guard, planted as the `sg.drained-guard` site of
+//! [`Config::mutants`]: the head then advances past a segment as soon as a
+//! successor exists, abandoning its undelivered cells, and the
+//! linearizability oracle must report the lost items as `not-linearizable`
+//! on a deterministic, replayable schedule.
 
 use std::sync::Arc;
 use turn_queue::{SegTurnQueue, TurnQueueBuilder};
@@ -122,41 +123,32 @@ fn seg_recycling_boundary_explores_clean() {
 /// through 2-cell segments (so a successor segment exists), then racing
 /// dequeues. With the drained guard disabled the first dequeue past the
 /// append abandons the head segment's undelivered cells.
-fn boundary_scenario(
-    drained_guard: bool,
-) -> impl Fn(turnq_modelcheck::OpLogger) -> Scenario {
-    move |log| {
-        let q: Arc<SegTurnQueue<u64>> = Arc::new(
-            TurnQueueBuilder::new()
-                .max_threads(2)
-                .seg_size(2)
-                .seg_drained_guard_for_tests(drained_guard)
-                .build_seg(),
-        );
-        let qp = Arc::clone(&q);
-        let q0 = Arc::clone(&q);
-        let q1 = q;
-        let l0 = log.clone();
-        let l1 = log;
-        Scenario {
-            bodies: vec![
-                Box::new(move || {
-                    let h = q0.handle().expect("registry slot");
-                    l0.enqueue(0, 1, || h.enqueue(1));
-                    l0.enqueue(0, 2, || h.enqueue(2));
-                    l0.enqueue(0, 3, || h.enqueue(3)); // appends the successor
-                    l0.dequeue(0, || h.dequeue());
-                }),
-                Box::new(move || {
-                    let h = q1.handle().expect("registry slot");
-                    l1.dequeue(1, || h.dequeue());
-                }),
-            ],
-            post: Some(Box::new(move || {
-                drop(qp);
-                Ok(())
-            })),
-        }
+fn boundary_scenario(log: turnq_modelcheck::OpLogger) -> Scenario {
+    let q: Arc<SegTurnQueue<u64>> =
+        Arc::new(TurnQueueBuilder::new().max_threads(2).seg_size(2).build_seg());
+    let qp = Arc::clone(&q);
+    let q0 = Arc::clone(&q);
+    let q1 = q;
+    let l0 = log.clone();
+    let l1 = log;
+    Scenario {
+        bodies: vec![
+            Box::new(move || {
+                let h = q0.handle().expect("registry slot");
+                l0.enqueue(0, 1, || h.enqueue(1));
+                l0.enqueue(0, 2, || h.enqueue(2));
+                l0.enqueue(0, 3, || h.enqueue(3)); // appends the successor
+                l0.dequeue(0, || h.dequeue());
+            }),
+            Box::new(move || {
+                let h = q1.handle().expect("registry slot");
+                l1.dequeue(1, || h.dequeue());
+            }),
+        ],
+        post: Some(Box::new(move || {
+            drop(qp);
+            Ok(())
+        })),
     }
 }
 
@@ -174,9 +166,10 @@ fn drained_guard_removed_mutant_loses_items() {
         budget: 500,
         dfs_budget: 400,
         step_bound: Some(seg_step_bound(2, 2)),
+        mutants: &["sg.drained-guard"],
         ..Config::default()
     };
-    let report = explore(&cfg, boundary_scenario(false));
+    let report = explore(&cfg, boundary_scenario);
     let violation = report
         .violation
         .as_ref()
@@ -188,7 +181,7 @@ fn drained_guard_removed_mutant_loses_items() {
     // The recipe must replay: the exact recorded schedule, run again from
     // scratch, reproduces the same class of violation deterministically.
     let schedule = violation.schedule.clone();
-    let replayed = replay(&cfg, boundary_scenario(false), &schedule);
+    let replayed = replay(&cfg, boundary_scenario, &schedule);
     replayed.assert_caught("not-linearizable");
 }
 
@@ -205,7 +198,7 @@ fn drained_guard_intact_explores_clean() {
         step_bound: Some(bound),
         ..Config::default()
     };
-    let report = explore(&cfg, boundary_scenario(true));
+    let report = explore(&cfg, boundary_scenario);
     report.assert_clean();
     assert!(report.max_dequeue_steps <= bound);
 }

@@ -6,14 +6,14 @@
 //! enqueues, cursor-start dequeues, and cross-lane steals stays k-relaxed
 //! linearizable (`Config::relaxed_k` set to the queue's
 //! `relaxation_k() = lanes × lane_occupancy_bound`), race free, and within
-//! [`sharded_step_bound`]. The mutants cripple the dequeue sweep two ways:
+//! [`sharded_step_bound`]. The mutants, planted through
+//! [`Config::mutants`], cripple the dequeue sweep two ways:
 //!
-//! * `sweep_skip_for_tests(1)` biases the sweep past an older non-empty
-//!   lane, so a dequeue can overtake more than `k − 1` pending items
-//!   (over-k drift);
-//! * `sweep_lanes_for_tests(1)` caps the sweep below the lane count, so an
-//!   emptiness verdict no longer observes every lane (a false `None` with
-//!   ≥ `k` items pending).
+//! * `sh.sweep-skip` biases the sweep past the first non-empty lane, so a
+//!   dequeue can overtake more than `k − 1` pending items (over-k drift);
+//! * `sh.sweep-lanes` caps the sweep at one lane, so an emptiness verdict
+//!   no longer observes every lane (a false `None` with ≥ `k` items
+//!   pending).
 //!
 //! Each mutant must be caught as `not-linearizable` and the violation's
 //! recorded schedule must reproduce it deterministically under [`replay`];
@@ -156,42 +156,39 @@ fn sharded_empty_verdict_race_explores_clean() {
 /// starting at the backlogged lane takes its oldest item; one starting at
 /// the other lane only ever sees the newer item *before* the old ones
 /// exist or concurrently with them, which the oracle may reorder).
-fn skip_scenario(sweep_skip: usize) -> impl Fn(OpLogger) -> Scenario {
-    move |log| {
-        let q: Arc<ShardedTurnQueue<u64>> = Arc::new(
-            ShardedBuilder::new()
-                .lanes(2)
-                .max_threads(3)
-                .seg_size(2)
-                .lane_occupancy_bound(1)
-                .sweep_skip_for_tests(sweep_skip)
-                .build(),
-        );
-        let qp = Arc::clone(&q);
-        let q0 = Arc::clone(&q);
-        let q1 = Arc::clone(&q);
-        let q2 = q;
-        let l0 = log.clone();
-        let l1 = log.clone();
-        let l2 = log;
-        Scenario {
-            bodies: vec![
-                Box::new(move || {
-                    l0.enqueue(0, 1, || q0.enqueue(1));
-                    l0.enqueue(0, 2, || q0.enqueue(2));
-                }),
-                Box::new(move || {
-                    l1.enqueue(1, 3, || q1.enqueue(3));
-                }),
-                Box::new(move || {
-                    l2.dequeue(2, || q2.dequeue());
-                }),
-            ],
-            post: Some(Box::new(move || {
-                drop(qp);
-                Ok(())
-            })),
-        }
+fn skip_scenario(log: OpLogger) -> Scenario {
+    let q: Arc<ShardedTurnQueue<u64>> = Arc::new(
+        ShardedBuilder::new()
+            .lanes(2)
+            .max_threads(3)
+            .seg_size(2)
+            .lane_occupancy_bound(1)
+            .build(),
+    );
+    let qp = Arc::clone(&q);
+    let q0 = Arc::clone(&q);
+    let q1 = Arc::clone(&q);
+    let q2 = q;
+    let l0 = log.clone();
+    let l1 = log.clone();
+    let l2 = log;
+    Scenario {
+        bodies: vec![
+            Box::new(move || {
+                l0.enqueue(0, 1, || q0.enqueue(1));
+                l0.enqueue(0, 2, || q0.enqueue(2));
+            }),
+            Box::new(move || {
+                l1.enqueue(1, 3, || q1.enqueue(3));
+            }),
+            Box::new(move || {
+                l2.dequeue(2, || q2.dequeue());
+            }),
+        ],
+        post: Some(Box::new(move || {
+            drop(qp);
+            Ok(())
+        })),
     }
 }
 
@@ -201,7 +198,9 @@ fn skip_scenario(sweep_skip: usize) -> impl Fn(OpLogger) -> Scenario {
 /// k-relaxed oracle must reject. The canonical schedule (each thread runs
 /// to completion in id order) already exhibits it: items 1 and 2 complete
 /// in the first producer's lane, 3 in the second's, and the skip-biased
-/// sweep steals 3 while 1 and 2 are pending.
+/// sweep steals 3 while 1 and 2 are pending. The verdict is about the
+/// bound, not the structure: the same schedule replays clean once `k`
+/// covers the drift.
 #[test]
 fn sharded_sweep_skip_mutant_exceeds_k() {
     let cfg = Config {
@@ -209,9 +208,10 @@ fn sharded_sweep_skip_mutant_exceeds_k() {
         budget: 400,
         dfs_budget: 320,
         relaxed_k: 2,
+        mutants: &["sh.sweep-skip"],
         ..Config::default()
     };
-    let report = explore(&cfg, skip_scenario(1));
+    let report = explore(&cfg, skip_scenario);
     let violation = report
         .violation
         .as_ref()
@@ -223,8 +223,10 @@ fn sharded_sweep_skip_mutant_exceeds_k() {
     // The recipe must replay: the exact recorded schedule, run again from
     // scratch, reproduces the same class of violation deterministically.
     let schedule = violation.schedule.clone();
-    let replayed = replay(&cfg, skip_scenario(1), &schedule);
+    let replayed = replay(&cfg, skip_scenario, &schedule);
     replayed.assert_caught("not-linearizable");
+    let wider = Config { relaxed_k: 3, ..cfg };
+    replay(&wider, skip_scenario, &schedule).assert_clean();
 }
 
 /// Positive control: the identical scenario with the production sweep
@@ -240,7 +242,7 @@ fn sharded_sweep_skip_control_explores_clean() {
         relaxed_k: 2,
         ..Config::default()
     };
-    let report = explore(&cfg, skip_scenario(0));
+    let report = explore(&cfg, skip_scenario);
     report.assert_clean();
 }
 
@@ -250,37 +252,34 @@ fn sharded_sweep_skip_control_explores_clean() {
 /// which forces some lane past `B` — the same deliberate breach as
 /// [`skip_scenario`], harmless to the honest full sweep (all items sit in
 /// one lane, so honest drift is zero and a full sweep always finds them).
-fn window_scenario(sweep_lanes: Option<usize>) -> impl Fn(OpLogger) -> Scenario {
-    move |log| {
-        let mut b = ShardedBuilder::new()
+fn window_scenario(log: OpLogger) -> Scenario {
+    let q: Arc<ShardedTurnQueue<u64>> = Arc::new(
+        ShardedBuilder::new()
             .lanes(2)
             .max_threads(2)
             .seg_size(2)
-            .lane_occupancy_bound(1);
-        if let Some(n) = sweep_lanes {
-            b = b.sweep_lanes_for_tests(n);
-        }
-        let q: Arc<ShardedTurnQueue<u64>> = Arc::new(b.build());
-        let qp = Arc::clone(&q);
-        let q0 = Arc::clone(&q);
-        let q1 = q;
-        let l0 = log.clone();
-        let l1 = log;
-        Scenario {
-            bodies: vec![
-                Box::new(move || {
-                    l0.enqueue(0, 1, || q0.enqueue(1));
-                    l0.enqueue(0, 2, || q0.enqueue(2));
-                }),
-                Box::new(move || {
-                    l1.dequeue(1, || q1.dequeue());
-                }),
-            ],
-            post: Some(Box::new(move || {
-                drop(qp);
-                Ok(())
-            })),
-        }
+            .lane_occupancy_bound(1)
+            .build(),
+    );
+    let qp = Arc::clone(&q);
+    let q0 = Arc::clone(&q);
+    let q1 = q;
+    let l0 = log.clone();
+    let l1 = log;
+    Scenario {
+        bodies: vec![
+            Box::new(move || {
+                l0.enqueue(0, 1, || q0.enqueue(1));
+                l0.enqueue(0, 2, || q0.enqueue(2));
+            }),
+            Box::new(move || {
+                l1.dequeue(1, || q1.dequeue());
+            }),
+        ],
+        post: Some(Box::new(move || {
+            drop(qp);
+            Ok(())
+        })),
     }
 }
 
@@ -298,9 +297,10 @@ fn sharded_missed_lane_mutant_false_empty() {
         budget: 400,
         dfs_budget: 320,
         relaxed_k: 2,
+        mutants: &["sh.sweep-lanes"],
         ..Config::default()
     };
-    let report = explore(&cfg, window_scenario(Some(1)));
+    let report = explore(&cfg, window_scenario);
     let violation = report
         .violation
         .as_ref()
@@ -309,7 +309,7 @@ fn sharded_missed_lane_mutant_false_empty() {
     report.assert_caught("not-linearizable");
 
     let schedule = violation.schedule.clone();
-    let replayed = replay(&cfg, window_scenario(Some(1)), &schedule);
+    let replayed = replay(&cfg, window_scenario, &schedule);
     replayed.assert_caught("not-linearizable");
 }
 
@@ -326,6 +326,6 @@ fn sharded_full_sweep_control_explores_clean() {
         relaxed_k: 2,
         ..Config::default()
     };
-    let report = explore(&cfg, window_scenario(None));
+    let report = explore(&cfg, window_scenario);
     report.assert_clean();
 }

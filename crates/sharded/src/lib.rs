@@ -70,8 +70,6 @@ pub struct ShardedBuilder {
     seg_size: Option<usize>,
     stall_threshold_ns: u64,
     lane_occupancy_bound: usize,
-    sweep_skip: usize,
-    sweep_lanes: Option<usize>,
 }
 
 impl Default for ShardedBuilder {
@@ -83,16 +81,14 @@ impl Default for ShardedBuilder {
             seg_size: None,
             stall_threshold_ns: u64::MAX,
             lane_occupancy_bound: DEFAULT_LANE_OCCUPANCY_BOUND,
-            sweep_skip: 0,
-            sweep_lanes: None,
         }
     }
 }
 
 impl ShardedBuilder {
     /// Start from the defaults: [`DEFAULT_LANES`] lanes,
-    /// [`turn_queue::DEFAULT_MAX_THREADS`], the feature-gated per-lane
-    /// defaults for `fast_tries`/`seg_size`, and
+    /// [`turn_queue::DEFAULT_MAX_THREADS`], the lane builder's own
+    /// `fast_tries`/`seg_size` defaults, and
     /// [`DEFAULT_LANE_OCCUPANCY_BOUND`].
     pub fn new() -> Self {
         Self::default()
@@ -158,30 +154,6 @@ impl ShardedBuilder {
         self
     }
 
-    /// Test-only: make every dequeue sweep skip the first `n` lanes it
-    /// observes non-empty before taking an item. This deliberately biases
-    /// the sweep past older lane heads, so FIFO drift is no longer bounded
-    /// by `k` — it exists so the k-relaxed oracle and the modelcheck
-    /// over-k mutant can prove the bound is load-bearing. Never set it in
-    /// production.
-    #[doc(hidden)]
-    pub fn sweep_skip_for_tests(mut self, n: usize) -> Self {
-        self.sweep_skip = n;
-        self
-    }
-
-    /// Test-only: cap the dequeue sweep at `n` lanes instead of all of
-    /// them. An emptiness verdict then no longer observes every lane,
-    /// breaking the full-sweep argument of `docs/algorithm.md` — it exists
-    /// so the missed-lane modelcheck mutant can prove the full sweep is
-    /// load-bearing. Never set it in production.
-    #[doc(hidden)]
-    pub fn sweep_lanes_for_tests(mut self, n: usize) -> Self {
-        assert!(n >= 1, "sweeping 0 lanes would make every dequeue empty");
-        self.sweep_lanes = Some(n);
-        self
-    }
-
     /// Build the sharded queue.
     pub fn build<T: Send>(self) -> ShardedTurnQueue<T> {
         let ShardedBuilder {
@@ -191,8 +163,6 @@ impl ShardedBuilder {
             seg_size,
             stall_threshold_ns,
             lane_occupancy_bound,
-            sweep_skip,
-            sweep_lanes,
         } = self;
         let registry = ThreadRegistry::new(max_threads);
         let built: Vec<SegTurnQueue<T>> = (0..lanes)
@@ -224,8 +194,6 @@ impl ShardedBuilder {
             cursors,
             lane_occupancy_bound,
             max_threads,
-            sweep_skip,
-            sweep_lanes: sweep_lanes.unwrap_or(lanes).min(lanes),
         }
     }
 }
@@ -251,10 +219,6 @@ pub struct ShardedTurnQueue<T: Send> {
     cursors: Box<[CachePadded<AtomicUsize>]>,
     lane_occupancy_bound: usize,
     max_threads: usize,
-    /// Test knobs, both inert in production (`0` / `lanes`); see the
-    /// hidden builder setters.
-    sweep_skip: usize,
-    sweep_lanes: usize,
 }
 
 impl<T: Send> ShardedTurnQueue<T> {
@@ -282,12 +246,19 @@ impl<T: Send> ShardedTurnQueue<T> {
         // starting hint with no cross-thread reader, so no happens-before
         // edge is required. Same rule as the telemetry counters.
         let start = self.cursors[tid].load(ord::RELAXED);
-        let mut skip = self.sweep_skip;
-        for probe in 0..self.sweep_lanes {
+        // Modelcheck mutants: `sh.sweep-skip` passes over the first
+        // non-empty lane (over-k drift), `sh.sweep-lanes` stops after one
+        // lane (an emptiness verdict that misses lanes).
+        let mut skip = turnq_sync::mutant("sh.sweep-skip");
+        let sweep = if turnq_sync::mutant("sh.sweep-lanes") {
+            1
+        } else {
+            self.lanes.len()
+        };
+        for probe in 0..sweep {
             let lane = (start + probe) & self.lane_mask;
-            if skip > 0 && !self.lanes[lane].is_empty() {
-                // Test-only mutant path (`sweep_skip_for_tests`).
-                skip -= 1;
+            if skip && !self.lanes[lane].is_empty() {
+                skip = false;
                 continue;
             }
             // Pre-probe: `is_empty` runs the same SeqCst emptiness verdict
@@ -603,53 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_lanes_mutant_misses_items_outside_its_window() {
-        // Production config sweeps every lane; the mutant sweeps 1. Items
-        // outside the cursor's lane become invisible — the missed-lane
-        // verdict the modelcheck mutant turns into an oracle violation.
-        let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
-            .lanes(2)
-            .max_threads(4)
-            .sweep_lanes_for_tests(1)
-            .build();
-        // This thread holds registry index 0 → home lane 0, cursor 0.
-        assert_eq!(q.registry().current_index(), 0);
-        // Park three items in lane 1 from a thread with index 1.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for v in [10u64, 11, 12] {
-                    q.enqueue(v);
-                }
-            })
-            .join()
-            .unwrap();
-        });
-        // The crippled sweep only probes lane 0: a false empty verdict.
-        assert_eq!(q.dequeue(), None);
-        assert_eq!(q.lane_occupancy(1), if turnq_telemetry::ENABLED { 3 } else { 0 });
-    }
-
-    #[test]
-    fn sweep_skip_mutant_overtakes_older_lane_heads() {
-        let q: ShardedTurnQueue<u64> = ShardedBuilder::new()
-            .lanes(2)
-            .max_threads(4)
-            .sweep_skip_for_tests(1)
-            .build();
-        assert_eq!(q.registry().current_index(), 0);
-        // Lane 0 holds the two oldest items; lane 1 holds the newest.
-        q.enqueue(1);
-        q.enqueue(2);
-        std::thread::scope(|s| {
-            s.spawn(|| q.enqueue(3)).join().unwrap();
-        });
-        // The biased sweep skips non-empty lane 0 and steals the newest
-        // item — pending position 3 > k = 2 when B = 1, the over-k drift
-        // the k-relaxed oracle rejects.
-        assert_eq!(q.dequeue(), Some(3));
-    }
-
-    #[test]
     fn snapshot_merges_lanes_and_counts_shard_traffic() {
         let q: ShardedTurnQueue<u64> = ShardedBuilder::new().lanes(2).max_threads(4).build();
         for v in 0..6u64 {
@@ -670,6 +594,7 @@ mod tests {
             // This thread's 6 − 4 backlog sits in its single home lane.
             let lane = q.home_lane().unwrap();
             assert_eq!(snap.lane_gauge("shard_lane_occupancy", lane), 2);
+            assert_eq!(q.lane_occupancy(lane), 2);
             assert_eq!(snap.lane_gauge("shard_lane_occupancy", 1 - lane), 0);
             // Registry tallies are folded exactly once (not per lane).
             assert_eq!(snap.get("registry_registered"), 1);

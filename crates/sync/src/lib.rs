@@ -19,7 +19,7 @@
 //!   binaries are bit-identical to the pre-facade code.
 //! * **`modelcheck` feature**: the same names resolve to `#[repr(transparent)]`
 //!   wrappers that route every load/store/CAS (and every `UnsafeCell`
-//!   access) through the [`rt`] runtime: a cooperative scheduler that
+//!   access) through the `rt` runtime: a cooperative scheduler that
 //!   serializes threads at shared-memory access points so an explorer can
 //!   enumerate interleavings, a per-thread *step counter* used to
 //!   machine-check the paper's `O(MAX_THREADS)` wait-freedom bounds, and a
@@ -37,7 +37,7 @@
 //! Only the types below. Code outside the facade (e.g. `Box` allocation,
 //! `Vec` internals, the harness's `std::sync::Mutex`) executes natively
 //! inside the current thread's scheduling slice. Threads that are not
-//! running under [`rt`] (the default) take a single thread-local branch and
+//! running under `rt` (the default) take a single thread-local branch and
 //! fall through to the std operation.
 
 #[cfg(not(feature = "modelcheck"))]
@@ -169,6 +169,34 @@ pub mod rt;
 /// instrumented runtime. Lets test code assert it is (or is not) running
 /// under the model checker.
 pub const INSTRUMENTED: bool = cfg!(feature = "modelcheck");
+
+/// Whether the model checker planted the seeded mutant `site` in the
+/// current run. A production guard that a modelcheck suite must prove
+/// load-bearing reads `if turnq_sync::mutant("q.panic-check") { … }`;
+/// each `site` carries its module's ORDERING-site prefix.
+///
+/// In normal builds this is a constant `false`, so every mutant branch
+/// compiles away. Under `modelcheck` it reports the sites planted through
+/// `rt::plant` for the calling thread's run. Reading it is not a shared
+/// access: it is no scheduling point and charges no step.
+#[cfg(not(feature = "modelcheck"))]
+#[inline(always)]
+pub const fn mutant(_site: &'static str) -> bool {
+    false
+}
+
+#[cfg(not(feature = "modelcheck"))]
+const _: () = assert!(!mutant("q.panic-check"));
+
+/// Whether the model checker planted the seeded mutant `site` in the
+/// current run (see the normal build's twin): true only on the thread
+/// that planted it through [`rt::plant`] and on the workers of the runs
+/// it starts.
+#[cfg(feature = "modelcheck")]
+#[inline]
+pub fn mutant(site: &'static str) -> bool {
+    rt::planted(site)
+}
 
 /// `true` when the `seqcst` ablation feature is on and every [`ord`]
 /// alias collapses to `Ordering::SeqCst` (the paper-literal build).

@@ -60,7 +60,9 @@
 //! and atomic writes, may be concurrent with atomic loads and other plain
 //! reads, and every later writer must be ordered after it.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -207,6 +209,8 @@ struct State {
     locs: HashMap<usize, LocState>,
     races: Vec<String>,
     panics: Vec<String>,
+    /// The controller's planted mutants for this run ([`plant`]).
+    planted: &'static [&'static str],
 }
 
 const MAX_RACE_REPORTS: usize = 8;
@@ -232,6 +236,39 @@ struct Ctx {
 
 thread_local! {
     static CTX: std::cell::RefCell<Option<Ctx>> = const { std::cell::RefCell::new(None) };
+    /// Mutant sites planted for the calling thread's run ([`plant`]).
+    /// Per thread, so explorations running side by side in one test
+    /// binary never see each other's mutants.
+    static PLANTED: Cell<&'static [&'static str]> = const { Cell::new(&[]) };
+}
+
+/// Whether `site` is planted for the calling thread ([`crate::mutant`]).
+pub(crate) fn planted(site: &'static str) -> bool {
+    PLANTED
+        .try_with(|p| p.get().contains(&site))
+        .unwrap_or(false)
+}
+
+/// Plant the mutant `sites` on the calling thread until the returned
+/// guard drops; every [`ThreadPool::run`] it starts meanwhile plants the
+/// same sites on its workers.
+pub fn plant(sites: &'static [&'static str]) -> Planted {
+    Planted {
+        prev: PLANTED.with(|p| p.replace(sites)),
+        _not_send: PhantomData,
+    }
+}
+
+/// Guard of [`plant`]: restores the thread's previous planted set.
+pub struct Planted {
+    prev: &'static [&'static str],
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for Planted {
+    fn drop(&mut self) {
+        PLANTED.with(|p| p.set(self.prev));
+    }
 }
 
 /// True when the calling thread is a scheduled model-check worker.
@@ -531,6 +568,7 @@ impl ThreadPool {
                 locs: HashMap::new(),
                 races: Vec::new(),
                 panics: Vec::new(),
+                planted: &[],
             }),
             work_cv: Condvar::new(),
             ctrl_cv: Condvar::new(),
@@ -553,7 +591,8 @@ impl ThreadPool {
 
     /// Execute `bodies` (one per worker) under `chooser`'s schedule and
     /// return everything observed. Deterministic given the decision
-    /// sequence the chooser produces.
+    /// sequence the chooser produces. The workers run with the calling
+    /// thread's planted mutants ([`plant`]).
     pub fn run(
         &self,
         chooser: &mut dyn Chooser,
@@ -575,6 +614,7 @@ impl ThreadPool {
             st.locs.clear();
             st.races.clear();
             st.panics.clear();
+            st.planted = PLANTED.with(Cell::get);
             for (i, b) in bodies.into_iter().enumerate() {
                 st.jobs[i] = Some(b);
             }
@@ -655,14 +695,14 @@ impl Drop for ThreadPool {
 
 fn worker_main(shared: Arc<Shared>, me: usize) {
     loop {
-        let job = {
+        let (job, planted) = {
             let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
                 if let Some(j) = st.jobs[me].take() {
-                    break j;
+                    break (j, st.planted);
                 }
                 st = shared
                     .work_cv
@@ -676,12 +716,14 @@ fn worker_main(shared: Arc<Shared>, me: usize) {
                 me,
             })
         });
+        PLANTED.with(|p| p.set(planted));
         // Initial park: not a step, just "ready at job start".
         park(&shared, me, false);
         let result = catch_unwind(AssertUnwindSafe(job));
         // Clear before touching any TLS destructors or finishing, so
         // late facade accesses (thread-registry caches) fall back to std.
         CTX.with(|c| *c.borrow_mut() = None);
+        PLANTED.with(|p| p.set(&[]));
         let mut st = shared.lock();
         st.wstatus[me] = WStatus::Finished;
         st.active = None;
