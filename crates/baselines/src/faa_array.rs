@@ -356,7 +356,7 @@ impl<T> QueueIntrospect for FaaArrayQueue<T> {
             progress_dequeue: Progress::LockFree,
             consensus: "FAA tickets",
             atomic_instructions: "FAA + CAS + XCHG",
-            reclamation: "HP (R = 0)",
+            reclamation: "HP (R = H + 1)",
             min_memory: "O(BUFFER_SIZE)",
         }
     }

@@ -4,7 +4,7 @@
 //! queues … The MS queue has no thread-local variables, and the only shared
 //! variables are the head and the tail" (§4.1). Like the paper's benchmark
 //! version, it uses the same hazard-pointer implementation as the Turn
-//! queue, with `R = 0`.
+//! queue (one scan per `max_threads·k + 1` retires, the paper's bound).
 //!
 //! Progress: lock-free only. Under contention a thread can lose the
 //! head/tail CAS indefinitely — this is precisely the fat latency tail that
@@ -286,7 +286,7 @@ impl<T> QueueIntrospect for MSQueue<T> {
             progress_dequeue: Progress::LockFree,
             consensus: "CAS retry loop",
             atomic_instructions: "CAS",
-            reclamation: "HP (R = 0)",
+            reclamation: "HP (R = H + 1)",
             min_memory: "O(1)",
         }
     }

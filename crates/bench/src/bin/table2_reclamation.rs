@@ -66,7 +66,7 @@ fn main() {
         "none (grows forever)".to_string(),
     ]);
     demo.add_row(vec![
-        "HP R=0 (1 stalled reader)".to_string(),
+        "HP R=H+1 (1 stalled reader)".to_string(),
         (retire_count + 1).to_string(),
         hp_max_backlog.to_string(),
         format!("{} (= max_threads*k + 1)", retired_bound(2, K)),

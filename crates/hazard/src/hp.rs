@@ -1,4 +1,5 @@
-//! Plain hazard pointers with the paper's `R = 0` eager-scan policy.
+//! Plain hazard pointers that scan once the retired list reaches the
+//! paper's backlog bound.
 
 use turnq_sync::cell::UnsafeCell;
 use turnq_sync::atomic::{fence, AtomicUsize};
@@ -60,8 +61,8 @@ unsafe impl<T: Send, S: ReclaimSink<T>> Send for HazardPointers<T, S> {}
 unsafe impl<T: Send, S: ReclaimSink<T>> Sync for HazardPointers<T, S> {}
 
 impl<T> HazardPointers<T> {
-    /// A domain for `max_threads` threads with `k` hazard slots each and
-    /// the paper's `R = 0` scan policy, freeing to the allocator.
+    /// A domain for `max_threads` threads with `k` hazard slots each,
+    /// freeing to the allocator.
     pub fn new(max_threads: usize, k: usize) -> Self {
         Self::with_sink(max_threads, k, BoxDropSink)
     }
@@ -195,8 +196,8 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
 
     /// Number of objects thread `tid` has retired but not yet freed.
     ///
-    /// With `R = 0` this is bounded by
-    /// [`retired_bound`](crate::retired_bound): each entry that survives a
+    /// Bounded by [`retired_bound`](crate::retired_bound): a retire scans
+    /// once the list reaches that length, and each entry that survives a
     /// scan is pinned by one of the `max_threads × k` hazard slots.
     pub fn retired_count(&self, tid: usize) -> usize {
         // ORDERING(hp.backlog-gauge): RELAXED — monitoring gauge; readers
@@ -205,14 +206,21 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
         self.retired[tid].len.load(ord::RELAXED)
     }
 
-    /// Retire `ptr`, then run the `R = 0` scan: every entry of the calling
-    /// thread's retired list that no hazard slot protects is handed to the
-    /// sink immediately.
+    /// Retire `ptr`. Once the calling thread's retired list holds
+    /// [`retired_bound`](crate::retired_bound)`(max_threads, k)` entries,
+    /// scan it: every entry no hazard slot protects is handed to the sink.
     ///
-    /// The scan does `O(list_len × max_threads × k)` work with `list_len`
-    /// bounded as above, so reclaim is wait-free bounded (paper Table 2,
-    /// first row) — provided the sink's `reclaim` is itself bounded, which
-    /// holds for the allocator sink and the node-pool sink alike.
+    /// A scan leaves at most `max_threads × k` survivors, each pinned by a
+    /// distinct slot, so the list never exceeds the bound — the same peak
+    /// the paper's `R = 0` (scan on every retire) reaches mid-scan — while
+    /// scans drop to about one per `max_threads × k + 1 − pinned` retires.
+    /// An unprotected entry is freed no later than the retire that brings
+    /// the list to the bound.
+    ///
+    /// A scanning retire does `O(bound × max_threads × k)` work, so reclaim
+    /// is wait-free bounded (paper Table 2, first row) — provided the
+    /// sink's `reclaim` is itself bounded, which holds for the allocator
+    /// sink and the node-pool sink alike.
     ///
     /// # Safety
     ///
@@ -230,32 +238,34 @@ impl<T, S: ReclaimSink<T>> HazardPointers<T, S> {
         // makes this the only mutable access to the list.
         let list = unsafe { &mut *row.list.get() };
         list.push(ptr);
-        self.telemetry.bump(tid, CounterId::HpScan);
-        // ORDERING(hp.scan-fence): SEQ_CST fence — scan-side half of the protect/scan
-        // Dekker. A reader's SC protect store ordered before this fence is
-        // guaranteed visible to the acquire slot loads below (C11 SC-fence
-        // rule); one ordered after it has its SC validating re-load ordered
-        // after the unlink that happened-before this retire, so the reader
-        // observes the change and never dereferences. This single fence is
-        // what lets `HpMatrix::is_protected` scan with acquire loads.
-        fence(ord::SEQ_CST);
-        let mut reclaimed = 0u64;
-        let mut i = 0;
-        while i < list.len() {
-            let candidate = list[i];
-            if self.matrix.is_protected(candidate) {
-                i += 1;
-            } else {
-                list.swap_remove(i);
-                reclaimed += 1;
-                // SAFETY(retire-unique): unreachable from shared memory (caller contract)
-                // and not protected by any published-and-validated hazard:
-                // a reader that published after unlinking fails validation
-                // and never dereferences. The sink becomes sole owner.
-                unsafe { self.sink.reclaim(tid, candidate) };
+        if list.len() >= crate::retired_bound(self.max_threads(), self.k()) {
+            self.telemetry.bump(tid, CounterId::HpScan);
+            // ORDERING(hp.scan-fence): SEQ_CST fence — scan-side half of the protect/scan
+            // Dekker. A reader's SC protect store ordered before this fence is
+            // guaranteed visible to the acquire slot loads below (C11 SC-fence
+            // rule); one ordered after it has its SC validating re-load ordered
+            // after the unlink that happened-before this retire, so the reader
+            // observes the change and never dereferences. This single fence is
+            // what lets `HpMatrix::is_protected` scan with acquire loads.
+            fence(ord::SEQ_CST);
+            let mut reclaimed = 0u64;
+            let mut i = 0;
+            while i < list.len() {
+                let candidate = list[i];
+                if self.matrix.is_protected(candidate) {
+                    i += 1;
+                } else {
+                    list.swap_remove(i);
+                    reclaimed += 1;
+                    // SAFETY(retire-unique): unreachable from shared memory (caller contract)
+                    // and not protected by any published-and-validated hazard:
+                    // a reader that published after unlinking fails validation
+                    // and never dereferences. The sink becomes sole owner.
+                    unsafe { self.sink.reclaim(tid, candidate) };
+                }
             }
+            self.telemetry.add(tid, CounterId::HpReclaim, reclaimed);
         }
-        self.telemetry.add(tid, CounterId::HpReclaim, reclaimed);
         // ORDERING(hp.backlog-gauge): RELAXED — backlog gauge mirror (see
         // retired_count).
         row.len.store(list.len(), ord::RELAXED);
@@ -299,33 +309,53 @@ mod tests {
         Box::into_raw(Box::new(DropCounter(Arc::clone(drops))))
     }
 
+    /// `max_threads × k` for a domain: the most entries a scan can leave.
+    fn slots<T>(hp: &HazardPointers<T>) -> usize {
+        hp.max_threads() * hp.k()
+    }
+
     #[test]
-    fn unprotected_retire_frees_immediately() {
+    fn unprotected_retires_wait_for_the_bound_then_all_free() {
         let drops = Arc::new(AtomicUsize::new(0));
         let hp: HazardPointers<DropCounter> = HazardPointers::new(2, 2);
-        let p = counted(&drops);
-        // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
-        unsafe { hp.retire(0, p) };
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
-        assert_eq!(hp.retired_count(0), 0);
+        let h = slots(&hp);
+        for round in 1..=3 {
+            for pending in 1..=h {
+                // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
+                unsafe { hp.retire(0, counted(&drops)) };
+                assert_eq!(hp.retired_count(0), pending, "no scan below the bound");
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), (round - 1) * (h + 1));
+            // Retire H+1 brings the list to `retired_bound` and scans.
+            unsafe { hp.retire(0, counted(&drops)) };
+            assert_eq!(drops.load(Ordering::SeqCst), round * (h + 1));
+            assert_eq!(hp.retired_count(0), 0);
+        }
     }
 
     #[test]
     fn protected_retire_is_deferred_until_clear() {
         let drops = Arc::new(AtomicUsize::new(0));
         let hp: HazardPointers<DropCounter> = HazardPointers::new(2, 2);
+        let h = slots(&hp);
         let p = counted(&drops);
-        hp.protect_ptr(1, 0, p); // another thread protects it
+        // Another thread protects `p`.
+        hp.protect_ptr(1, 0, p);
+        // SAFETY: fresh `Box::into_raw` pointers owned by this test, unlinked, each retired exactly once.
         unsafe { hp.retire(0, p) };
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        for _ in 0..h {
+            unsafe { hp.retire(0, counted(&drops)) };
+        }
+        // The scan at the bound freed every unprotected entry and kept `p`.
+        assert_eq!(drops.load(Ordering::SeqCst), h);
         assert_eq!(hp.retired_count(0), 1);
 
         hp.clear(1);
-        // Next retire of anything triggers the scan that frees `p`.
-        let q = counted(&drops);
-        // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
-        unsafe { hp.retire(0, q) };
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        // The next scan, H retires later, frees `p` with the rest.
+        for _ in 0..h {
+            unsafe { hp.retire(0, counted(&drops)) };
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 2 * h + 1);
         assert_eq!(hp.retired_count(0), 0);
     }
 
@@ -337,6 +367,7 @@ mod tests {
         let hp: HazardPointers<DropCounter> = HazardPointers::new(1, 1);
         let p = counted(&drops);
         hp.protect_ptr(0, 0, p);
+        // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
         unsafe { hp.retire(0, p) };
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         hp.clear(0);
@@ -397,16 +428,22 @@ mod tests {
             // SAFETY: fresh `Box::into_raw` pointer owned by this test, unlinked, retired exactly once.
             unsafe { hp.retire(0, p) };
         }
+        let mut scans = 0;
         for _ in 0..1000 {
+            let before = hp.retired_count(0);
             let p = Box::into_raw(Box::new(0u64));
             unsafe { hp.retire(0, p) };
             assert!(
                 hp.retired_count(0) <= crate::retired_bound(max_threads, k),
                 "backlog exceeded the wait-free bound"
             );
+            if hp.retired_count(0) <= before {
+                // A scan ran: only the protected ones are still pending.
+                assert_eq!(hp.retired_count(0), protected.len());
+                scans += 1;
+            }
         }
-        // The protected ones are still pending.
-        assert_eq!(hp.retired_count(0), protected.len());
+        assert!(scans > 0, "the backlog never reached the bound");
         // Cleanup happens in HazardPointers::drop.
     }
 
@@ -428,18 +465,26 @@ mod tests {
         }
 
         let got = Arc::new(Mutex::new(Vec::new()));
+        // Two slots in total, so the third retire scans.
         let hp: HazardPointers<u64, Collect> =
             HazardPointers::with_sink(2, 1, Collect { got: Arc::clone(&got) });
         let free_now = Box::into_raw(Box::new(7u64));
         let pinned = Box::into_raw(Box::new(8u64));
+        let third = Box::into_raw(Box::new(9u64));
         hp.protect_ptr(1, 0, pinned);
+        // SAFETY: fresh `Box::into_raw` pointers owned by this test, unlinked, each retired exactly once.
         unsafe {
             hp.retire(0, free_now);
             hp.retire(0, pinned);
         }
-        // The unprotected pointer reached the sink from tid 0; the
+        assert!(got.lock().unwrap().is_empty(), "scanned below the bound");
+        unsafe { hp.retire(0, third) };
+        // The unprotected pointers reached the sink from tid 0; the
         // protected one is still in the backlog.
-        assert_eq!(got.lock().unwrap().as_slice(), &[(0, free_now as usize)]);
+        assert_eq!(
+            got.lock().unwrap().as_slice(),
+            &[(0, free_now as usize), (0, third as usize)]
+        );
         assert_eq!(hp.retired_count(0), 1);
 
         // Dropping the domain flushes the backlog into the sink too.
@@ -447,7 +492,11 @@ mod tests {
         let collected = std::mem::take(&mut *got.lock().unwrap());
         assert_eq!(
             collected,
-            vec![(0, free_now as usize), (0, pinned as usize)]
+            vec![
+                (0, free_now as usize),
+                (0, third as usize),
+                (0, pinned as usize)
+            ]
         );
         for (_, addr) in collected {
             // SAFETY: round-trips the exact Box::into_raw addresses above;

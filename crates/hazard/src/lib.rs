@@ -11,11 +11,14 @@
 //!   already-bounded loop (paper Algorithm 5). A failed validation proves
 //!   another thread made progress, so the caller charges the retry to its
 //!   own `MAX_THREADS`-bounded loop and stays wait-free bounded.
-//! * **Reclaim** — [`HazardPointers::retire`] uses scan threshold `R = 0`
-//!   (paper §3.1): every retire rescans the thread's whole retired list
-//!   against the HP matrix. The scan is `O(MAX_THREADS × K)` and the list
-//!   length is bounded (see `retire`'s docs), so reclaim is wait-free
-//!   bounded too.
+//! * **Reclaim** — the paper (§3.1) scans on every retire (`R = 0`).
+//!   [`HazardPointers::retire`] keeps the paper's bound but not its
+//!   schedule: it scans the thread's retired list against the HP matrix
+//!   once the list holds [`retired_bound`] entries. A scan leaves at most
+//!   `MAX_THREADS × K` survivors, so the list never exceeds the bound, a
+//!   scanning retire does `O(bound × MAX_THREADS × K)` work, and reclaim
+//!   is wait-free bounded too. [`ConditionalHazardPointers`] keeps
+//!   `R = 0`.
 //!
 //! Two variants are provided:
 //!
@@ -45,12 +48,14 @@ pub use sink::{BoxDropSink, ReclaimSink};
 
 /// Maximum number of objects that can stay unreclaimed per thread for a
 /// reclaimer with `max_threads` threads and `k` hazard slots each: every
-/// entry surviving a full `R = 0` scan is pinned by some hazard slot, and
-/// there are only `max_threads * k` slots in total.
+/// entry surviving a full scan is pinned by some hazard slot, and there
+/// are only `max_threads * k` slots in total.
 ///
-/// This is the single source of truth for sizing anything that must absorb
-/// a worst-case reclamation burst — the per-thread node-cache capacity in
-/// the Turn queue's recycling pool is exactly this value.
+/// This is the single source of truth for the reclamation schedule and
+/// for sizing anything that must absorb a worst-case reclamation burst:
+/// [`HazardPointers::retire`] scans when a thread's list reaches this
+/// length, and the Turn queue's recycling pool never holds fewer nodes
+/// per thread.
 pub fn retired_bound(max_threads: usize, k: usize) -> usize {
     max_threads * k + 1
 }

@@ -1,14 +1,17 @@
 //! Property tests for the hazard-pointer domain: random single-threaded
 //! protect/clear/retire programs against a bookkeeping model.
 //!
-//! Invariants checked after every step:
-//! * an object is freed exactly once, and only after (a) it was retired
-//!   and (b) a scan ran while no slot protected it;
-//! * an object continuously protected since before its retirement is
-//!   never freed;
+//! The model keeps its own copy of the retired list and scans it exactly
+//! when the domain must: on the retire that brings the list to
+//! `retired_bound`. Invariants checked after every step:
+//! * the domain's backlog equals the model's, so an unprotected object is
+//!   freed no later than the retire that brings the list to the bound,
+//!   and after that scan only protected objects remain;
+//! * the drop count equals allocations minus the objects still live, so
+//!   every object is freed exactly once and a protected one never;
 //! * the retired backlog never exceeds `retired_bound`;
-//! * clearing all slots and flushing (retiring a throwaway) empties the
-//!   backlog.
+//! * clearing all slots and retiring throwaways up to the bound empties
+//!   the backlog.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,8 +43,8 @@ enum Op {
     RetireProtected(usize),
     /// Clear slot `s`.
     Clear(usize),
-    /// Allocate and immediately retire an unprotected object — with R = 0
-    /// it must be freed by that very call.
+    /// Allocate and immediately retire an unprotected object — freed by the
+    /// next scan at the bound at the latest.
     RetireFresh,
 }
 
@@ -68,8 +71,17 @@ proptest! {
         let mut slot_ptr: [Option<*mut Tracked>; SLOTS] = [None; SLOTS];
         let mut slot_retired: [bool; SLOTS] = [false; SLOTS];
         let mut allocated: u64 = 0;
-        // Objects retired while protected and still possibly pending.
-        let mut possibly_pending: Vec<*mut Tracked> = Vec::new();
+        // The model's retired list: retired objects not yet freed.
+        let mut pending: Vec<*mut Tracked> = Vec::new();
+        let bound = retired_bound(THREADS, SLOTS);
+        // Model of one retire: push, and scan when the list reaches the
+        // bound, keeping only what a slot still protects.
+        let retire = |pending: &mut Vec<*mut Tracked>, slot_ptr: &[Option<*mut Tracked>], p| {
+            pending.push(p);
+            if pending.len() == bound {
+                pending.retain(|q| slot_ptr.contains(&Some(*q)));
+            }
+        };
 
         let alloc = |drops: &Arc<AtomicUsize>| -> *mut Tracked {
             Box::into_raw(Box::new(Tracked { drops: Arc::clone(drops) }))
@@ -105,13 +117,7 @@ proptest! {
                             // single-threaded test, tid exclusivity holds.
                             unsafe { hp.retire(tid, p) };
                             slot_retired[s] = true;
-                            possibly_pending.push(p);
-                            // Still protected: must NOT have been freed by
-                            // the scan inside retire.
-                            prop_assert!(
-                                hp.retired_count(tid) >= 1,
-                                "protected object freed while protected"
-                            );
+                            retire(&mut pending, &slot_ptr, p);
                         }
                     }
                 }
@@ -125,38 +131,45 @@ proptest! {
                     slot_retired[s] = false;
                 }
                 Op::RetireFresh => {
-                    let before = drops.load(Ordering::SeqCst);
                     let p = alloc(&drops);
                     allocated += 1;
                     // SAFETY: unique, unlinked, unprotected.
                     unsafe { hp.retire(tid, p) };
-                    // R = 0 and unprotected: freed immediately. (Objects
-                    // previously pending may be freed too — monotone.)
-                    prop_assert!(
-                        drops.load(Ordering::SeqCst) > before,
-                        "unprotected retire was not freed by the R=0 scan"
-                    );
+                    retire(&mut pending, &slot_ptr, p);
                 }
             }
-            prop_assert!(
-                hp.retired_count(tid) <= retired_bound(THREADS, SLOTS),
-                "backlog exceeded the wait-free bound"
+            prop_assert_eq!(
+                hp.retired_count(tid),
+                pending.len(),
+                "backlog differs from the model's scan at the bound"
             );
             prop_assert!(
-                (drops.load(Ordering::SeqCst) as u64) <= allocated,
-                "more drops than allocations"
+                hp.retired_count(tid) <= bound,
+                "backlog exceeded the wait-free bound"
+            );
+            let unretired = (0..SLOTS)
+                .filter(|&s| slot_ptr[s].is_some() && !slot_retired[s])
+                .count();
+            prop_assert_eq!(
+                drops.load(Ordering::SeqCst) as u64,
+                allocated - (unretired + pending.len()) as u64,
+                "an object was freed early, late or twice"
             );
         }
 
         // Teardown: everything must be freed exactly once overall —
-        // clear slots, flush via a throwaway retire, then drop the domain
-        // (which frees the remainder) and drop still-live protected
-        // objects that were never retired.
+        // clear slots, retire throwaways up to the bound so a scan runs,
+        // then drop the domain (which frees the remainder) and drop
+        // still-live protected objects that were never retired.
         hp.clear(tid);
-        let throwaway = alloc(&drops);
-        allocated += 1;
-        // SAFETY: unprotected fresh object.
-        unsafe { hp.retire(tid, throwaway) };
+        let clear_slots = [None; SLOTS];
+        while !pending.is_empty() {
+            let throwaway = alloc(&drops);
+            allocated += 1;
+            // SAFETY: unprotected fresh object.
+            unsafe { hp.retire(tid, throwaway) };
+            retire(&mut pending, &clear_slots, throwaway);
+        }
         prop_assert_eq!(hp.retired_count(tid), 0, "flush left a backlog");
 
         // Objects still protected-and-not-retired are owned by the test.

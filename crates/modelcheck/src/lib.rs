@@ -33,9 +33,9 @@
 //! The paper claims enqueue/dequeue finish in at most `MAX_THREADS + 1`
 //! helping-loop iterations. Each iteration performs `O(MAX_THREADS)`
 //! shared accesses (slot scans), and a dequeue additionally runs the
-//! hazard-pointer retire scan, which is bounded by the R = 0 discipline at
-//! `retired_bound(mt, k) = mt·k + 1` candidates of `mt·k` hazard-slot
-//! loads each. [`turn_step_bound`] adds those terms with explicit
+//! hazard-pointer retire scan, which runs when the retired list reaches
+//! `retired_bound(mt, k) = mt·k + 1` candidates and costs `mt·k`
+//! hazard-slot loads per candidate. [`turn_step_bound`] adds those terms with explicit
 //! constants; the model-check suites assert every operation in every
 //! explored interleaving stays below it, turning the wait-freedom claim
 //! from prose into a machine-checked invariant.
@@ -664,9 +664,10 @@ fn run_post(
 ///   `(2·mt + 4)·(12 + 2·mt)`);
 /// * hazard-pointer epilogue: `3·K + 4` (clear: K own-slot reads plus ≤ K
 ///   stores; republish);
-/// * retire scan (dequeue only): the R = 0 discipline caps the retired
-///   backlog at `retired_bound(mt, K) = mt·K + 1` candidates, each
-///   scanned against `mt·K` hazard slots plus list bookkeeping:
+/// * retire scan (dequeue only): a retire scans once the retired list
+///   reaches `retired_bound(mt, K) = mt·K + 1` candidates, and a scan
+///   leaves at most `mt·K`, so a scan sees at most that many, each
+///   checked against `mt·K` hazard slots plus list bookkeeping:
 ///   `(mt·K + 1)·(mt·K + 4)`;
 /// * node pool + one-time registry claim + slack: `2·mt + 32`.
 pub fn turn_step_bound(max_threads: usize) -> u64 {

@@ -173,14 +173,14 @@ fn pool_aba_hammer() {
             bodies: vec![
                 Box::new(move || {
                     let h = q0.handle().expect("registry slot");
-                    for v in [10, 11, 12] {
+                    for v in 10..=16 {
                         l0.enqueue(0, v, || h.enqueue(v));
                         l0.dequeue(0, || h.dequeue());
                     }
                 }),
                 Box::new(move || {
                     let h = q1.handle().expect("registry slot");
-                    for v in [20, 21, 22] {
+                    for v in 20..=26 {
                         l1.enqueue(1, v, || h.enqueue(v));
                         l1.dequeue(1, || h.dequeue());
                     }
@@ -194,10 +194,11 @@ fn pool_aba_hammer() {
                         stats.hits, stats.recycled
                     ));
                 }
-                // Six dequeues of six enqueued values: the hammer must
-                // actually recycle (otherwise it tests nothing). Every
-                // dequeue retires a node and the pool capacity covers the
-                // backlog, so at least one reuse must happen.
+                // Fourteen dequeues of fourteen enqueued values: the hammer
+                // must actually recycle (otherwise it tests nothing). Every
+                // dequeue retires a node, a thread scans on its seventh
+                // retire (`retired_bound(2, 3)`), and the pool capacity
+                // covers the backlog, so at least one reuse must happen.
                 if stats.recycled == 0 {
                     return Err("pool never recycled a node — hammer ineffective".into());
                 }
@@ -219,13 +220,15 @@ fn pool_aba_hammer() {
 /// producer's free list can only be filled from the pool's depot, by a
 /// chain the consumer's scan handed over. With `pool_capacity(1)` one
 /// reclaimed node fills the consumer's list and the next one deposits it;
-/// `fast_tries(0)` keeps dequeues on the slow path, which also retires the
-/// request node, so two dequeues reclaim enough. Both the deposit and the
-/// producer's take then fall inside the explored prefix. The race
-/// detector checks that the depot CAS pair orders the consumer's plain
-/// link writes before the producer's plain reads and its `Node::reset`:
-/// with either CAS weakened to `Relaxed` in `pool.rs`, this test reports a
-/// race.
+/// `fast_tries(0)` keeps dequeues on the slow path, which retires one
+/// request node per non-empty dequeue. The consumer first scans on its
+/// seventh retire (`retired_bound(2, 3)`), so it needs seven items, and
+/// the producer enqueues more than that to still be running when the
+/// chain arrives. Both the deposit and the producer's take then fall
+/// inside the explored prefix. The race detector checks that the depot
+/// CAS pair orders the consumer's plain link writes before the producer's
+/// plain reads and its `Node::reset`: with either CAS weakened to
+/// `Relaxed` in `pool.rs`, this test reports a race.
 ///
 /// Thread 0 never retires (enqueues do not), so every pool hit is a node
 /// thread 0 took from the depot. The scheduler has no blocking, and its
@@ -263,13 +266,13 @@ fn split_role_handoff_through_the_depot() {
             bodies: vec![
                 Box::new(move || {
                     let h = q0.handle().expect("registry slot");
-                    for v in 1..=6 {
+                    for v in 1..=12 {
                         l0.enqueue(0, v, || h.enqueue(v));
                     }
                 }),
                 Box::new(move || {
                     let h = q1.handle().expect("registry slot");
-                    for _ in 0..2 {
+                    for _ in 0..8 {
                         l1.dequeue(1, || h.dequeue());
                     }
                 }),

@@ -1,7 +1,7 @@
 //! # `turnq-telemetry` — wait-freedom-preserving observability
 //!
-//! The paper's headline claims (`O(MAX_THREADS)` step bounds, HP with
-//! `R = 0`, one allocation per item) are machine-checked offline by the
+//! The paper's headline claims (`O(MAX_THREADS)` step bounds, HP's
+//! bounded backlog, one allocation per item) are machine-checked offline by the
 //! model checker and the allocator-counting tests; this crate makes the
 //! same quantities *observable in a running binary*: helping pressure,
 //! CAS-retry rates, HP scan/retire traffic, pool hit rates, and a

@@ -74,8 +74,9 @@ fn churn_drop_balance_oversubscribed() {
     }
 }
 
-/// The §3 claim: with HP (R = 0), the unreclaimed backlog of a thread is
-/// bounded even while other threads hold live protections.
+/// The §3 claim: with HP scanning at `retired_bound`, the unreclaimed
+/// backlog of a thread is bounded even while other threads hold live
+/// protections.
 #[test]
 fn hp_backlog_bound_under_live_protections() {
     const T: usize = 8;
